@@ -1,40 +1,32 @@
-// bench_solver — end-to-end FindHighestTheta / FindLowestK throughput:
-// instance-reuse exact path vs rebuild-per-instance baseline.
+// bench_solver — end-to-end FindHighestTheta / FindLowestK throughput of the
+// incremental refinement solver, with its engine counters.
 //
 // The Section 7 searches drive the Section 6 ILP through many closely
-// related decision instances (a theta grid, a k ladder). With
-// SolverOptions::reuse_instances the solver keeps one encoding per k and
-// reweights its threshold rows per theta, runs the theta-independent
+// related decision instances (a theta grid, a k ladder). The solver keeps one
+// encoding per k and reweights its threshold rows per theta, chains each
+// exact solve's root basis into the next instance, runs the theta-independent
 // heuristics (greedy max-min, fixed-k agglomerative) once per k, and caches
 // per-sort counts so re-validation per instance is a handful of exact integer
-// comparisons. The baseline (reuse off) rebuilds the encoding and re-runs the
-// ladder for every instance — what the solver did before the reuse rewrite.
-//
-// Outputs must be bit-identical between the two modes (the heuristics are
-// deterministic and a reweighted instance equals a fresh build; see
-// tests/solver_reuse_test.cc for the small regression lock) and the binary
-// exits non-zero on any divergence. CI runs the small default and uploads
+// comparisons. That none of this changes an answer is the fresh-solver
+// oracle in tests/solver_reuse_test.cc. CI runs the small default and uploads
 // bench_solver.json; there is no perf gating, the records track the
 // trajectory.
 //
 // Configs:
 //   highest_theta   default solver (heuristic ladder first) on a clustered
 //                   index large enough that the MIP row ceiling gates the
-//                   exact solver — measures heuristic + validation reuse
-//                   across the theta grid (the rebuild side re-runs greedy
-//                   and fixed-k agglomerative per instance)
+//                   exact solver — heuristic + validation reuse across the
+//                   theta grid
+//   highest_theta_bisect
+//                   the same search by bisection, which meets many more
+//                   infeasible/undecided instances
 //   highest_theta_pure_exact
 //                   greedy_first = false on a small index, so every grid
-//                   instance is settled by the MIP over the (reweighted vs
-//                   rebuilt) encoding
+//                   instance is settled by the MIP over the reweighted
+//                   encoding
 //   encode_only     no solving at all: one instance reweighted across the
 //                   whole theta grid vs BuildRefinementIlp per grid point —
-//                   isolates the tentpole O(k|P|n) skeleton-rebuild saving
-//   exact_sparse_vs_dense
-//                   pure-exact FindHighestTheta at full size: the
-//                   LU-factorized warm-started engine vs the dense-inverse
-//                   cold-start baseline (wall-clock capped; speedup is a
-//                   lower bound when the cap trips)
+//                   isolates the O(k|P|n) skeleton-rebuild saving
 //   exact_frontier  one stock-options Exists(k = 2, theta = 3/4) on a large
 //                   random index — tracks the max_mip_rows default against
 //                   the measured solvable frontier
@@ -95,16 +87,12 @@ schema::SignatureIndex MakeClusteredIndex(int n, std::uint64_t seed,
                                                 std::move(sigs));
 }
 
-core::SolverOptions Options(bool reuse, bool greedy_first) {
+core::SolverOptions Options(bool greedy_first) {
   core::SolverOptions options = BenchSolverOptions();
-  options.reuse_instances = reuse;
   options.greedy_first = greedy_first;
   // The searches meet at most a couple of undecidable instances; a tight MIP
-  // budget keeps the (identical-in-both-modes) proof cost from drowning the
-  // reuse-vs-rebuild difference this harness exists to measure. The budget
-  // must be a NODE count, not wall clock: a wall-clock limit can trip in one
-  // of the two timed runs but not the other under load, making the
-  // bit-identity assertion flaky.
+  // budget keeps their proof cost from drowning the search itself. The budget
+  // is a NODE count, not wall clock, so the answer does not depend on load.
   options.mip.max_nodes = 50000;
   options.mip.time_limit_seconds = 300.0;
   // The heuristic-regime and ladder configs were designed against the old
@@ -117,14 +105,13 @@ core::SolverOptions Options(bool reuse, bool greedy_first) {
 }
 
 struct Measurement {
-  double reuse_seconds = 0;
-  double rebuild_seconds = 0;
+  double seconds = 0;
   int instances = 0;
   std::string result;  // "theta=..." or "k=..."
-  bool match = true;
+  std::string detail;  // table column: engine counters or the encode check
+  bool ok = true;      // false fails the run (encode_only identity)
   bool timed_out = false;  // deadline/limit cut: result is an incumbent
-  /// Config-specific JSON metrics appended to the record (engine counters,
-  /// speedup lower bounds, ...).
+  /// Config-specific JSON metrics appended to the record.
   std::vector<std::pair<std::string, double>> extra_metrics;
 };
 
@@ -139,114 +126,54 @@ std::vector<std::pair<std::string, double>> EngineMetrics(
           {"lp_max_eta_length", static_cast<double>(s.max_eta_length)}};
 }
 
+/// The engine counters of one search, for the table.
+std::string EngineDetail(long long mip_nodes, const ilp::LpEngineStats& s) {
+  std::ostringstream out;
+  out << "nodes=" << mip_nodes << " pivots=" << s.pivots
+      << " reuses=" << s.basis_reuses;
+  return out.str();
+}
+
+std::string FormatSeconds(double seconds) {
+  std::ostringstream out;
+  out << std::fixed << std::setprecision(3) << seconds;
+  return out.str();
+}
+
 void Report(TextTable* table, bool* ok, const std::string& config,
             const std::string& rule, int n, const Measurement& m) {
-  const auto fmt = [](double seconds) {
-    std::ostringstream out;
-    out << std::fixed << std::setprecision(3) << seconds;
-    return out.str();
-  };
-  const double ratio = m.rebuild_seconds / std::max(m.reuse_seconds, 1e-9);
-  std::ostringstream speedup;
-  speedup << std::fixed << std::setprecision(1) << ratio << "x";
   table->AddRow({config, rule, std::to_string(n), std::to_string(m.instances),
-                 fmt(m.reuse_seconds), fmt(m.rebuild_seconds), speedup.str(),
-                 m.result, m.match ? "yes" : "MISMATCH"});
-  if (!m.match) {
-    std::cerr << "FAIL: reuse and rebuild searches diverge for " << config
-              << "/" << rule << " at n = " << n << "\n";
+                 FormatSeconds(m.seconds), m.result, m.detail});
+  if (!m.ok) {
+    std::cerr << "FAIL: " << config << "/" << rule << " at n = " << n << ": "
+              << m.detail << "\n";
     *ok = false;
   }
+  std::vector<std::pair<std::string, double>> metrics = {
+      {"signatures", static_cast<double>(n)},
+      {"instances", static_cast<double>(m.instances)}};
+  metrics.insert(metrics.end(), m.extra_metrics.begin(),
+                 m.extra_metrics.end());
   Json().Record(
       "solver/" + config + "/" + rule,
       {{"config", config}, {"rule", rule}, {"signatures", std::to_string(n)}},
-      m.reuse_seconds, [&] {
-        std::vector<std::pair<std::string, double>> metrics = {
-            {"signatures", static_cast<double>(n)},
-            {"instances", static_cast<double>(m.instances)},
-            {"rebuild_seconds", m.rebuild_seconds},
-            {"speedup_vs_rebuild", ratio},
-            {"match", m.match ? 1.0 : 0.0}};
-        metrics.insert(metrics.end(), m.extra_metrics.begin(),
-                       m.extra_metrics.end());
-        return metrics;
-      }(),
-      m.timed_out);
+      m.seconds, metrics, m.timed_out);
 }
 
 Measurement MeasureHighestTheta(const eval::Evaluator& evaluator, int k,
                                 bool greedy_first, bool bisect = false) {
   Measurement m;
-  core::SolverOptions reuse_options = Options(true, greedy_first);
-  core::SolverOptions rebuild_options = Options(false, greedy_first);
-  reuse_options.binary_theta_search = bisect;
-  rebuild_options.binary_theta_search = bisect;
-  core::RefinementSolver reused(&evaluator, reuse_options);
-  core::RefinementSolver rebuilt(&evaluator, rebuild_options);
-  WallTimer reuse_timer;
-  const core::HighestThetaResult a = reused.FindHighestTheta(k);
-  m.reuse_seconds = reuse_timer.Seconds();
-  WallTimer rebuild_timer;
-  const core::HighestThetaResult b = rebuilt.FindHighestTheta(k);
-  m.rebuild_seconds = rebuild_timer.Seconds();
+  core::SolverOptions options = Options(greedy_first);
+  options.binary_theta_search = bisect;
+  core::RefinementSolver solver(&evaluator, options);
+  WallTimer timer;
+  const core::HighestThetaResult a = solver.FindHighestTheta(k);
+  m.seconds = timer.Seconds();
   m.instances = a.instances;
   m.result = "theta=" + a.theta.ToString();
-  m.timed_out = a.timed_out || b.timed_out;
-  m.match = a.theta == b.theta && a.instances == b.instances &&
-            a.ceiling_proven == b.ceiling_proven &&
-            RenderSorts(a.refinement) == RenderSorts(b.refinement);
+  m.timed_out = a.timed_out;
+  m.detail = EngineDetail(a.mip_nodes, a.lp_stats);
   m.extra_metrics = EngineMetrics(a.mip_nodes, a.lp_stats);
-  return m;
-}
-
-/// Engine head-to-head on a random index in pure-exact mode: the LU-factorized
-/// warm-started default against the dense-inverse cold-start baseline (the
-/// pre-rewrite engine: dense basis inverse, full Dantzig pricing,
-/// most-fractional branching, no probing, no warm starts). Both sides share a
-/// per-instance NODE budget so phase-transition grid points cannot churn
-/// unboundedly; the dense side additionally gets a wall-clock cap because at
-/// this size a full dense sweep is intractable (O(m^2) work per pivot, every
-/// LP cold). When the cap trips, the recorded speedup is a lower bound and
-/// the bit-identity check is skipped (the dense result is an incumbent).
-Measurement MeasureSparseVsDense(const eval::Evaluator& evaluator, int k,
-                                 double dense_cap_seconds) {
-  Measurement m;
-  core::SolverOptions sparse = Options(true, /*greedy_first=*/false);
-  // This config measures the engine, not the row gate: admit the encoding.
-  sparse.max_mip_rows = 1 << 30;
-  sparse.warm_start = true;
-  sparse.mip.max_nodes = 200;
-  sparse.mip.time_limit_seconds = 1e9;
-  core::SolverOptions dense = sparse;
-  dense.warm_start = false;
-  dense.mip.warm_start_lps = false;
-  dense.mip.root_probing = false;
-  dense.mip.branching = ilp::BranchingRule::kMostFractional;
-  dense.mip.lp.basis_kind = ilp::BasisKind::kDenseInverse;
-  dense.mip.lp.pricing = ilp::PricingRule::kDantzig;
-
-  core::RefinementSolver fast(&evaluator, sparse);
-  WallTimer sparse_timer;
-  const core::HighestThetaResult a = fast.FindHighestTheta(k);
-  m.reuse_seconds = sparse_timer.Seconds();
-
-  core::RefinementSolver slow(&evaluator, dense);
-  slow.set_deadline(util::Deadline::After(dense_cap_seconds));
-  WallTimer dense_timer;
-  const core::HighestThetaResult b = slow.FindHighestTheta(k);
-  m.rebuild_seconds = dense_timer.Seconds();
-
-  m.instances = a.instances;
-  m.result = "theta=" + a.theta.ToString();
-  m.timed_out = b.timed_out;
-  // Decisions and the found theta must agree across backends; the witnesses
-  // need not (degenerate optima admit several, and the engines pivot
-  // differently). tests/warm_start_test.cc locks the same contract.
-  m.match = b.timed_out || (a.theta == b.theta && a.instances == b.instances);
-  m.extra_metrics = EngineMetrics(a.mip_nodes, a.lp_stats);
-  m.extra_metrics.emplace_back("dense_capped", b.timed_out ? 1.0 : 0.0);
-  m.extra_metrics.emplace_back(
-      "speedup_vs_dense", m.rebuild_seconds / std::max(m.reuse_seconds, 1e-9));
   return m;
 }
 
@@ -274,13 +201,12 @@ void ReportFrontier(TextTable* table, int frontier_n) {
   const double seconds = timer.Seconds();
   const bool decided = r.decision != core::Decision::kUnknown;
 
-  std::ostringstream secs;
-  secs << std::fixed << std::setprecision(3) << seconds;
   table->AddRow({"exact_frontier", "Cov", std::to_string(frontier_n), "1",
-                 secs.str(), "-", "-",
+                 FormatSeconds(seconds),
                  std::string(core::DecisionName(r.decision)) + " @" +
                      std::to_string(rows) + " rows",
-                 decided ? "yes" : "undecided"});
+                 decided ? EngineDetail(r.mip_nodes, r.lp_stats)
+                         : "undecided"});
   std::vector<std::pair<std::string, double>> metrics =
       EngineMetrics(r.mip_nodes, r.lp_stats);
   metrics.emplace_back("signatures", static_cast<double>(frontier_n));
@@ -289,7 +215,8 @@ void ReportFrontier(TextTable* table, int frontier_n) {
   Json().Record("solver/exact_frontier/Cov",
                 {{"config", "exact_frontier"},
                  {"rule", "Cov"},
-                 {"signatures", std::to_string(frontier_n)}},
+                 {"signatures", std::to_string(frontier_n)},
+                 {"decision", core::DecisionName(r.decision)}},
                 seconds, metrics, /*timed_out=*/!decided);
 }
 
@@ -313,7 +240,7 @@ Measurement MeasureEncodeOnly(const eval::Evaluator& evaluator, int k) {
   for (std::int64_t g = grid.first; g <= grid.last; ++g) {
     instance.Reweight(grid.Theta(g));
   }
-  m.reuse_seconds = reuse_timer.Seconds();
+  m.seconds = reuse_timer.Seconds();
 
   std::size_t rows = 0;
   WallTimer rebuild_timer;
@@ -322,7 +249,7 @@ Measurement MeasureEncodeOnly(const eval::Evaluator& evaluator, int k) {
         index, evaluator.rule(), taus, k, grid.Theta(g), {});
     rows = enc.model.num_constraints();
   }
-  m.rebuild_seconds = rebuild_timer.Seconds();
+  const double rebuild_seconds = rebuild_timer.Seconds();
 
   // Identity spot-check at the grid's ends and middle (a full per-point
   // comparison would itself cost a rebuild per point).
@@ -330,53 +257,50 @@ Measurement MeasureEncodeOnly(const eval::Evaluator& evaluator, int k) {
     instance.Reweight(grid.Theta(g));
     const core::IlpEncoding fresh = core::BuildRefinementIlp(
         index, evaluator.rule(), taus, k, grid.Theta(g), {});
-    if (instance.model().ToString() != fresh.model.ToString()) m.match = false;
+    if (instance.model().ToString() != fresh.model.ToString()) m.ok = false;
   }
+  const double ratio = rebuild_seconds / std::max(m.seconds, 1e-9);
+  std::ostringstream detail;
+  detail << "rebuild " << FormatSeconds(rebuild_seconds) << " s ("
+         << std::fixed << std::setprecision(1) << ratio << "x), "
+         << (m.ok ? "identical" : "MISMATCH");
+  m.detail = detail.str();
   m.result = std::to_string(rows) + " rows";
+  m.extra_metrics = {{"rebuild_seconds", rebuild_seconds},
+                     {"speedup_vs_rebuild", ratio},
+                     {"match", m.ok ? 1.0 : 0.0}};
   return m;
 }
 
 Measurement MeasureLowestK(const eval::Evaluator& evaluator, Rational theta) {
   Measurement m;
-  core::RefinementSolver reused(&evaluator, Options(true, true));
-  core::RefinementSolver rebuilt(&evaluator, Options(false, true));
-  WallTimer reuse_timer;
-  const auto a = reused.FindLowestK(theta);
-  m.reuse_seconds = reuse_timer.Seconds();
-  WallTimer rebuild_timer;
-  const auto b = rebuilt.FindLowestK(theta);
-  m.rebuild_seconds = rebuild_timer.Seconds();
-  if (a.ok() != b.ok()) {
-    m.match = false;
-    m.result = "k=?";
-    return m;
-  }
+  core::RefinementSolver solver(&evaluator, Options(/*greedy_first=*/true));
+  WallTimer timer;
+  const auto a = solver.FindLowestK(theta);
+  m.seconds = timer.Seconds();
   if (!a.ok()) {
     m.result = "none<=max_k";
-    m.match = a.status().code() == b.status().code();
+    m.detail = a.status().ToString();
     return m;
   }
   m.instances = a->instances;
   m.result = "k=" + std::to_string(a->k);
-  m.timed_out = a->timed_out || b->timed_out;
-  m.match = a->k == b->k && a->instances == b->instances &&
-            a->proven_minimal == b->proven_minimal &&
-            RenderSorts(a->refinement) == RenderSorts(b->refinement);
+  m.timed_out = a->timed_out;
+  m.detail = EngineDetail(a->mip_nodes, a->lp_stats);
   m.extra_metrics = EngineMetrics(a->mip_nodes, a->lp_stats);
   return m;
 }
 
 int Run(int n, int exact_n, int ladder_n, int frontier_n) {
-  Banner("Refinement searches: instance-reuse exact path vs rebuild",
+  Banner("Refinement searches: incremental solver end to end",
          "Sections 6-7; Figures 4-7 search modes");
 
-  TextTable table({"config", "rule", "n", "instances", "reuse_s", "rebuild_s",
-                   "speedup", "result", "identical"});
+  TextTable table({"config", "rule", "n", "instances", "seconds", "result",
+                   "engine / check"});
   bool ok = true;
 
   // Heuristic regime: at this size the encoding exceeds the MIP row ceiling,
-  // so every instance is answered (or left open) by the ladder — the rebuild
-  // side re-runs greedy and fixed-k agglomerative per grid point.
+  // so every instance is answered (or left open) by the ladder.
   const schema::SignatureIndex clustered = MakeClusteredIndex(n, 42);
   for (const auto& rule : {rules::CovRule(), rules::SimRule()}) {
     auto evaluator = eval::MakeEvaluator(rule, &clustered);
@@ -394,8 +318,8 @@ int Run(int n, int exact_n, int ladder_n, int frontier_n) {
                                /*bisect=*/true));
   }
   {
-    // Pure exact mode: every grid instance goes to the MIP, over the
-    // reweighted vs rebuilt encoding.
+    // Pure exact mode: every grid instance goes to the MIP over the
+    // reweighted encoding.
     const schema::SignatureIndex small =
         MakeClusteredIndex(exact_n, 9, /*families=*/3, /*block=*/3);
     auto evaluator = eval::MakeEvaluator(rules::CovRule(), &small);
@@ -403,30 +327,16 @@ int Run(int n, int exact_n, int ladder_n, int frontier_n) {
            MeasureHighestTheta(*evaluator, 2, /*greedy_first=*/false));
   }
   {
-    // Encoding in isolation: the tentpole skeleton-rebuild saving without
-    // any solver time on either side.
+    // Encoding in isolation: the skeleton-rebuild saving without any solver
+    // time on either side.
     auto evaluator = eval::MakeEvaluator(rules::CovRule(), &clustered);
     Report(&table, &ok, "encode_only", "Cov", n,
            MeasureEncodeOnly(*evaluator, 4));
   }
-  {
-    // The sparse engine against the dense pre-rewrite baseline, pure exact
-    // at full size — the ISSUE 9 headline number. ~90 s worst case for the
-    // capped dense side.
-    gen::RandomIndexSpec spec;
-    spec.num_signatures = n;
-    spec.num_properties = 10;
-    spec.seed = 42;
-    const schema::SignatureIndex random = gen::GenerateRandomIndex(spec);
-    auto evaluator = eval::MakeEvaluator(rules::CovRule(), &random);
-    Report(&table, &ok, "exact_sparse_vs_dense", "Cov", n,
-           MeasureSparseVsDense(*evaluator, 2, /*dense_cap_seconds=*/90.0));
-  }
   if (frontier_n > 0) ReportFrontier(&table, frontier_n);
   // The k ladder visits each k once, so encoding/heuristic reuse cannot
-  // amortize across instances — this config is here for the bit-identical
-  // contract (and the shared agglomerative-per-theta cache) rather than a
-  // speedup claim.
+  // amortize across instances; only the agglomerative-per-theta cache is
+  // shared along the ladder.
   const schema::SignatureIndex ladder = MakeClusteredIndex(ladder_n, 42);
   for (const auto& rule : {rules::CovRule(), rules::SimRule()}) {
     auto evaluator = eval::MakeEvaluator(rule, &ladder);
@@ -435,11 +345,6 @@ int Run(int n, int exact_n, int ladder_n, int frontier_n) {
   }
 
   std::cout << table.ToString();
-  std::cout << "\nreuse = one ILP encoding per k reweighted per theta + "
-               "once-per-k heuristics\n  (SolverOptions::reuse_instances); "
-               "rebuild = fresh encoding and heuristic runs\n  per decision "
-               "instance. identical = theta/k, instance counts, and "
-               "refinements\n  agree exactly (the bit-identical contract).\n";
   return ok ? 0 : 1;
 }
 

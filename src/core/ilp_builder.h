@@ -106,7 +106,7 @@ std::size_t RefinementIlpRows(const schema::SignatureIndex& index,
 /// Upper bound (over all theta) on the rows still ACTIVE after Reweight:
 /// with sign-directed linking each tau keeps one side — max(|linked|, 1)
 /// rows — while the other side is vacuous and dropped by the presolve before
-/// the dense simplex. This is the count solver row ceilings should gate on;
+/// the simplex. This is the count solver row ceilings should gate on;
 /// RefinementIlpRows additionally counts the deactivated rows the skeleton
 /// carries.
 std::size_t RefinementIlpActiveRows(const schema::SignatureIndex& index,

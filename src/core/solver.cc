@@ -80,13 +80,6 @@ const std::vector<TauShape>& RefinementSolver::Shapes() {
 }
 
 RefinementIlpInstance& RefinementSolver::InstanceFor(int k) {
-  if (!options_.reuse_instances) {
-    // Rebuild-per-instance baseline: a fresh skeleton every call.
-    instance_ = std::make_unique<RefinementIlpInstance>(
-        evaluator_->index(), Shapes(), k, options_.build);
-    instance_k_ = k;
-    return *instance_;
-  }
   if (instance_ == nullptr || instance_k_ != k) {
     instance_ = std::make_unique<RefinementIlpInstance>(
         evaluator_->index(), Shapes(), k, options_.build);
@@ -109,8 +102,7 @@ RefinementSolver::ScoredRefinement RefinementSolver::Score(
 
 const RefinementSolver::ScoredRefinement&
 RefinementSolver::AgglomerativeForTheta(Rational theta) {
-  // Cached per theta regardless of reuse_instances (the pre-reuse solver
-  // already memoized these across the k ladder).
+  // Cached per theta, so the k ladder reuses it.
   const std::pair<std::int64_t, std::int64_t> key{theta.num(), theta.den()};
   auto it = agglomerative_cache_.find(key);
   if (it != agglomerative_cache_.end()) return it->second;
@@ -129,11 +121,6 @@ RefinementSolver::AgglomerativeForTheta(Rational theta) {
 const RefinementSolver::ScoredRefinement&
 RefinementSolver::AgglomerativeFixedKFor(int k) {
   const util::CancellationToken token = options_.deadline.token();
-  if (!options_.reuse_instances) {
-    scratch_scored_ = Score(
-        AgglomerativeFixedK(Eval(), k, options_.heuristic_threads, token));
-    return scratch_scored_;
-  }
   auto it = fixed_k_cache_.find(k);
   if (it != fixed_k_cache_.end()) return it->second;
   ScoredRefinement scored = Score(
@@ -148,10 +135,6 @@ RefinementSolver::AgglomerativeFixedKFor(int k) {
 const RefinementSolver::ScoredRefinement& RefinementSolver::GreedyFor(int k) {
   GreedyOptions greedy = options_.greedy;
   greedy.cancel = options_.deadline.token();
-  if (!options_.reuse_instances) {
-    scratch_scored_ = Score(GreedyMaxMinSigma(Eval(), k, greedy));
-    return scratch_scored_;
-  }
   auto it = greedy_cache_.find(k);
   if (it != greedy_cache_.end()) return it->second;
   ScoredRefinement scored = Score(GreedyMaxMinSigma(Eval(), k, greedy));
@@ -292,7 +275,7 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
     return result;
   }
 
-  // Exact decision via the Section 6 ILP. The row count the dense simplex
+  // Exact decision via the Section 6 ILP. The row count the simplex
   // will actually see is known exactly from the theta-independent tau
   // analysis, so oversized instances resolve to kUnknown before any model
   // (or skeleton) is built. With presolve on (default) the deactivated link
@@ -334,13 +317,13 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
   // the same k (a Reweight step keeps the variable space). A mismatched shape
   // — presolve reductions can differ between thetas — is rejected inside the
   // MIP and simply falls back to a cold start.
-  if (options_.warm_start && warm_basis_k_ == k && !warm_basis_.empty()) {
+  if (warm_basis_k_ == k && !warm_basis_.empty()) {
     mip_options.warm_basis = &warm_basis_;
   }
   ilp::MipResult mip = ilp::SolveMip(instance.model(), mip_options);
   result.mip_nodes = mip.nodes;
   result.lp_stats = mip.lp_stats;
-  if (options_.warm_start && !mip.root_basis.empty()) {
+  if (!mip.root_basis.empty()) {
     warm_basis_ = std::move(mip.root_basis);
     warm_basis_k_ = k;
   }

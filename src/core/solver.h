@@ -14,17 +14,18 @@
 //
 // Both searches drive many closely-related instances, and everything but the
 // threshold is shared between them, so the solver is incremental across
-// instances (reuse_instances, on by default):
+// instances:
 //  * one RefinementIlpInstance per k, reweighted per theta instead of
 //    rebuilding the O(k * |P| * n) encoding,
+//  * each exact solve's root basis seeds the next same-k instance's root LP,
 //  * the theta-independent heuristics (greedy max-min, fixed-k agglomerative)
 //    run once per k; their per-sort counts are cached so re-validation
 //    against each instance's threshold is O(#sorts) exact comparisons,
 //  * the theta grid itself is derived in exact integer arithmetic
 //    (ThetaGrid), so no grid point is skipped or re-tested and theta = 1 is
 //    always the endpoint.
-// Outputs are bit-identical with reuse off — bench/bench_solver.cc asserts it
-// while measuring the speedup.
+// A long-lived solver answers every Exists(k, theta) exactly as a fresh
+// solver would — tests/solver_reuse_test.cc holds that oracle.
 
 #ifndef RDFSR_CORE_SOLVER_H_
 #define RDFSR_CORE_SOLVER_H_
@@ -92,21 +93,6 @@ struct SolverOptions {
   bool binary_theta_search = false;
   /// Memoize sigma evaluations across heuristic and validation calls.
   bool cache_evaluations = true;
-  /// Reuse work across decision instances: one ILP encoding per k reweighted
-  /// per theta, theta-independent heuristic refinements computed once per k,
-  /// and per-sort counts cached so validation per instance is a handful of
-  /// exact comparisons. Outputs are bit-identical with the flag off (the
-  /// heuristics are deterministic and a reweighted instance equals a fresh
-  /// build); off exists as the rebuild-per-instance baseline for
-  /// bench_solver and the regression tests.
-  bool reuse_instances = true;
-  /// Warm-start the exact solves across the search grid: each SolveMip's root
-  /// basis (same k) seeds the next instance's root LP, so a Reweight(theta)
-  /// step usually re-optimizes in a handful of pivots instead of a cold
-  /// phase-1. Mismatched shapes (presolve reductions differ between thetas)
-  /// fall back to a cold start automatically. Off exists as the measured
-  /// baseline for bench_solver.
-  bool warm_start = true;
   /// Skip the exact MIP when the encoding exceeds this many rows; the
   /// instance then resolves to kUnknown unless the heuristic found a witness.
   /// The ceiling is a time guard, not a memory one, and it bounds the ROOT
@@ -236,7 +222,7 @@ class RefinementSolver {
   /// Theta-independent tau link analysis, shared by every encoding.
   const std::vector<TauShape>& Shapes();
   /// The reusable encoding for k (single slot — the searches drive one k at
-  /// a time). With reuse_instances off, builds a fresh instance per call.
+  /// a time).
   RefinementIlpInstance& InstanceFor(int k);
   ScoredRefinement Score(SortRefinement refinement) const;
   const ScoredRefinement& AgglomerativeForTheta(Rational theta);
@@ -251,14 +237,15 @@ class RefinementSolver {
   std::vector<eval::TauCount> tau_counts_;
   bool tau_counts_ready_ = false;
   std::optional<std::vector<TauShape>> shapes_;
-  // The reusable exact encoding (reuse_instances): rebuilt only when k
-  // changes, reweighted per theta.
+  // The reusable exact encoding: rebuilt only when k changes, reweighted per
+  // theta.
   std::unique_ptr<RefinementIlpInstance> instance_;
   int instance_k_ = -1;
-  // Warm-start chain (SolverOptions::warm_start): the root basis of the last
-  // exact solve, keyed by its k. A Reweight(theta) step keeps the variable
-  // space, so the basis usually transplants; shape mismatches (different
-  // presolve reductions) are rejected inside the MIP and cost nothing.
+  // Warm-start chain: the root basis of the last exact solve, keyed by its k.
+  // A Reweight(theta) step keeps the variable space, so the basis usually
+  // transplants and re-optimizes in a handful of pivots instead of a cold
+  // phase-1; shape mismatches (different presolve reductions) are rejected
+  // inside the MIP and cost nothing.
   ilp::SimplexBasis warm_basis_;
   int warm_basis_k_ = -1;
   // Heuristic-ladder caches. Agglomerative lowest-k partitions per theta
@@ -268,8 +255,8 @@ class RefinementSolver {
       agglomerative_cache_;
   std::map<int, ScoredRefinement> fixed_k_cache_;
   std::map<int, ScoredRefinement> greedy_cache_;
-  // Single-slot scratch for the reuse_instances=false baseline, so the
-  // accessors can still hand out references.
+  // Single slot for a heuristic result computed under a tripped token (kept
+  // out of the caches), so the accessors can still hand out references.
   ScoredRefinement scratch_scored_;
 };
 

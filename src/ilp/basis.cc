@@ -290,9 +290,9 @@ bool LuFactorization::Update(int pos, const std::vector<double>& w) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense inverse: the pre-sparse baseline. Factorization (including warm-start
-// repair) delegates to the LU and densifies its inverse; per-iteration ops
-// are the original O(m^2) row-operation machinery.
+// Dense inverse: the reference implementation the LP tests compare the LU
+// with. Factorization (including warm-start repair) delegates to the LU and
+// densifies its inverse; per-iteration ops are O(m^2) row operations.
 // ---------------------------------------------------------------------------
 
 class DenseInverse final : public BasisRep {

@@ -7,21 +7,21 @@
 //   * Btran:  y = B^-T c_B      (duals for pricing)
 //   * Update: replace the column at one basis position after a pivot
 //   * Factorize: rebuild the representation from the basic variable list
-// Two interchangeable implementations live behind BasisRep:
 //
-//   LuFactorization (default) — sparse LU of B via a left-looking
-//   column-by-column elimination: columns are processed in ascending-nonzero
-//   order and the pivot row is chosen among numerically acceptable candidates
-//   (within a threshold of the column's max) by smallest static row count — a
-//   Markowitz-style choice that controls fill. Pivots append product-form eta
-//   matrices to the factorization; the simplex refactorizes periodically
-//   (SimplexOptions::refactor_interval) or when an update pivot is too small
-//   to be stable. Ftran/Btran are triangular solves plus an eta sweep:
-//   O(m + fill) instead of the dense O(m^2).
+// LuFactorization is the engine's basis: a sparse LU of B via a left-looking
+// column-by-column elimination. Columns are processed in ascending-nonzero
+// order and the pivot row is chosen among numerically acceptable candidates
+// (within a threshold of the column's max) by smallest static row count — a
+// Markowitz-style choice that controls fill. Pivots append product-form eta
+// matrices to the factorization; the simplex refactorizes periodically
+// (SimplexOptions::refactor_interval) or when an update pivot is too small to
+// be stable. Ftran/Btran are triangular solves plus an eta sweep: O(m + fill)
+// instead of the dense O(m^2).
 //
-//   DenseInverse — the explicit m x m basis inverse updated by elementary row
-//   operations, i.e. the pre-sparse solver. Kept as the measured baseline
-//   (bench_solver) and as the oracle for the randomized LP property suite.
+// DenseInverse is the reference implementation: the explicit m x m basis
+// inverse updated by elementary row operations. No option selects it; the
+// LP property tests reach it through SolveLpWithBasis (ilp/simplex.h) and
+// compare it with the LU on randomized and degenerate LPs.
 //
 // Both support warm starts from an arbitrary SimplexBasis: Factorize repairs
 // a structurally or numerically singular basis by replacing dependent columns
@@ -120,6 +120,7 @@ class BasisRep {
 };
 
 std::unique_ptr<BasisRep> MakeLuFactorization(int m);
+/// The dense reference basis (tests only; see the header comment).
 std::unique_ptr<BasisRep> MakeDenseInverse(int m);
 
 }  // namespace rdfsr::ilp

@@ -29,8 +29,9 @@ constexpr double kPivotEps = 1e-9;
 /// Internal solver state for one LP solve.
 class Simplex {
  public:
-  Simplex(const Model& model, const SimplexOptions& options,
-          const std::vector<double>* lower, const std::vector<double>* upper)
+  Simplex(BasisFactory make_basis, const Model& model,
+          const SimplexOptions& options, const std::vector<double>* lower,
+          const std::vector<double>* upper)
       : options_(options),
         feas_tol_(std::max(10 * options.tol, 1e-6)),
         n_struct_(static_cast<int>(model.num_variables())),
@@ -57,11 +58,9 @@ class Simplex {
     }
     for (const LinTerm& t : model.objective()) cost_[t.var] = t.coef;
 
-    basis_ = options_.basis_kind == BasisKind::kDenseInverse
-                 ? MakeDenseInverse(m_)
-                 : MakeLuFactorization(m_);
+    basis_ = make_basis(m_);
 
-    warm_started_ = AdoptWarmBasis(options_.warm_start);
+    warm_started_ = AdoptWarmBasis(options_.warm_basis);
     if (!warm_started_) {
       // Cold start: slack basis (B = -I), structurals parked at a bound.
       basic_.resize(m_);
@@ -317,24 +316,6 @@ class Simplex {
       return -1;
     }
 
-    if (options_.pricing == PricingRule::kDantzig) {
-      int best = -1;
-      int best_dir = 0;
-      double best_score = options_.tol;
-      for (int j = 0; j < n_; ++j) {
-        double d;
-        int dir;
-        if (!eligible(j, &d, &dir)) continue;
-        if (std::abs(d) > best_score) {
-          best_score = std::abs(d);
-          best = j;
-          best_dir = dir;
-        }
-      }
-      *direction = best_dir;
-      return best;
-    }
-
     // Partial Dantzig: scan fixed-size segments from a rotating cursor and
     // take the best candidate of the first segment holding any; a full wrap
     // with no candidate is the same optimality certificate as a full scan.
@@ -458,6 +439,13 @@ class Simplex {
 LpResult SolveLp(const Model& model, const SimplexOptions& options,
                  const std::vector<double>* lower,
                  const std::vector<double>* upper) {
+  return SolveLpWithBasis(MakeLuFactorization, model, options, lower, upper);
+}
+
+LpResult SolveLpWithBasis(BasisFactory make_basis, const Model& model,
+                          const SimplexOptions& options,
+                          const std::vector<double>* lower,
+                          const std::vector<double>* upper) {
   if (lower != nullptr) {
     RDFSR_CHECK_EQ(lower->size(), model.num_variables());
   }
@@ -474,7 +462,7 @@ LpResult SolveLp(const Model& model, const SimplexOptions& options,
       return result;
     }
   }
-  Simplex solver(model, options, lower, upper);
+  Simplex solver(make_basis, model, options, lower, upper);
   return solver.Run();
 }
 

@@ -10,17 +10,15 @@
 // basic bound violations, costs recomputed each iteration), then phase 2
 // optimizes the true objective.
 //
-// The basis is held behind a BasisRep (see ilp/basis.h): by default a sparse
-// LU factorization with product-form eta updates, refactorized every
-// `refactor_interval` pivots or when an update pivot is numerically unsafe;
-// the explicit dense inverse remains available as a baseline/oracle. Pricing
-// defaults to partial Dantzig (segment scan with a rotating cursor) with the
-// classic full-scan Dantzig rule available; a Bland fallback guards against
-// cycling in either mode. Basic values are refreshed from the factorization
-// periodically for numerical hygiene.
+// The basis is a sparse LU factorization with product-form eta updates (see
+// ilp/basis.h), refactorized every `refactor_interval` pivots or when an
+// update pivot is numerically unsafe. Pricing is partial Dantzig (segment
+// scan with a rotating cursor), with a Bland fallback against cycling. Basic
+// values are refreshed from the factorization periodically for numerical
+// hygiene.
 //
 // Warm starts: every solve returns its final basis in LpResult::basis, and
-// SimplexOptions::warm_start replays such a snapshot — the factorization
+// SimplexOptions::warm_basis replays such a snapshot — the factorization
 // repairs stale bases (bound changes, numerical singularity) by ejecting
 // dependent columns, and phase-1 restores feasibility from there. A snapshot
 // whose shape does not match the model is ignored (cold start).
@@ -28,6 +26,7 @@
 #ifndef RDFSR_ILP_SIMPLEX_H_
 #define RDFSR_ILP_SIMPLEX_H_
 
+#include <memory>
 #include <vector>
 
 #include "ilp/basis.h"
@@ -53,21 +52,9 @@ struct LpResult {
   double objective = 0.0;
   std::vector<double> x;  ///< Structural variable values (model order).
   int iterations = 0;
-  SimplexBasis basis;        ///< Final basis: feed back via warm_start.
+  SimplexBasis basis;        ///< Final basis: feed back via warm_basis.
   LpEngineStats stats;       ///< Pivot / refactorization counters.
   bool warm_started = false; ///< True when a warm basis was actually adopted.
-};
-
-/// Which basis representation backs the solve.
-enum class BasisKind {
-  kLuFactorization,  ///< Sparse LU + eta file (default).
-  kDenseInverse,     ///< Explicit dense inverse (baseline / oracle).
-};
-
-/// Entering-variable pricing rule.
-enum class PricingRule {
-  kPartialDantzig,  ///< Most-negative within a rotating segment (default).
-  kDantzig,         ///< Most-negative over all columns.
 };
 
 /// Solver options.
@@ -75,13 +62,11 @@ struct SimplexOptions {
   int max_iterations = 200000;
   double tol = 1e-7;           ///< Feasibility / reduced-cost tolerance.
   int refresh_interval = 128;  ///< Recompute basic values every N pivots.
-  /// Refactorize once the eta file reaches this length (LU only).
+  /// Refactorize once the eta file reaches this length.
   int refactor_interval = 100;
-  BasisKind basis_kind = BasisKind::kLuFactorization;
-  PricingRule pricing = PricingRule::kPartialDantzig;
   /// Optional warm-start basis (not owned; must outlive the solve). Ignored
   /// unless its shape matches the model; repaired if stale.
-  const SimplexBasis* warm_start = nullptr;
+  const SimplexBasis* warm_basis = nullptr;
   /// Polled every ~128 pivots; a trip ends the solve with kCancelled.
   util::CancellationToken cancel;
 };
@@ -91,6 +76,17 @@ struct SimplexOptions {
 LpResult SolveLp(const Model& model, const SimplexOptions& options = {},
                  const std::vector<double>* lower = nullptr,
                  const std::vector<double>* upper = nullptr);
+
+/// Builds the basis representation for an m-row model.
+using BasisFactory = std::unique_ptr<BasisRep> (*)(int m);
+
+/// SolveLp over the basis representation `make_basis` builds. SolveLp is
+/// SolveLpWithBasis(MakeLuFactorization, ...); this seam exists so the tests
+/// can run the same pivots over the MakeDenseInverse reference.
+LpResult SolveLpWithBasis(BasisFactory make_basis, const Model& model,
+                          const SimplexOptions& options = {},
+                          const std::vector<double>* lower = nullptr,
+                          const std::vector<double>* upper = nullptr);
 
 }  // namespace rdfsr::ilp
 

@@ -1,5 +1,6 @@
 #include "rules/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 
@@ -129,78 +130,107 @@ class Lexer {
   std::size_t pos_ = 0;
 };
 
+/// Deepest formula the parser accepts. It bounds both the parser's own
+/// recursion (each '(' or '!' nests one level) and the height of the formula
+/// tree it builds (each '!', '&&' and '||' adds a level), so every recursive
+/// pass over a parsed rule (normalize, printer, semantics, and the tree's
+/// destructor) stays within a small fixed stack budget. Deeper input fails
+/// with the same ParseError as any other malformed rule. Real rules are a
+/// few levels deep; the Section 2.2 builtins are under ten.
+constexpr int kMaxNestingDepth = 256;
+
 /// Recursive-descent parser over the token stream.
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Result<FormulaPtr> ParseFormulaOnly() {
-    Result<FormulaPtr> f = ParseOr();
-    if (!f.ok()) return f;
+    Result<Subformula> f = ParseOr();
+    if (!f.ok()) return f.status();
     if (Peek().kind != TokenKind::kEnd) {
       return Error("trailing input after formula");
     }
-    return f;
+    return f->formula;
   }
 
   Result<Rule> ParseRuleText(std::string name) {
-    Result<FormulaPtr> ante = ParseOr();
+    Result<Subformula> ante = ParseOr();
     if (!ante.ok()) return ante.status();
     if (Peek().kind != TokenKind::kArrow) {
       return Error("expected '->' between antecedent and consequent");
     }
     Advance();
-    Result<FormulaPtr> cons = ParseOr();
+    Result<Subformula> cons = ParseOr();
     if (!cons.ok()) return cons.status();
     if (Peek().kind != TokenKind::kEnd) {
       return Error("trailing input after rule");
     }
-    return Rule::Create(*ante, *cons, std::move(name));
+    return Rule::Create(ante->formula, cons->formula, std::move(name));
   }
 
  private:
-  Result<FormulaPtr> ParseOr() {
-    Result<FormulaPtr> left = ParseAnd();
-    if (!left.ok()) return left;
-    FormulaPtr acc = *left;
-    while (Peek().kind == TokenKind::kOr) {
+  /// A parsed formula and the height of its tree.
+  struct Subformula {
+    FormulaPtr formula;
+    int height = 1;
+  };
+
+  Status TooDeep() const {
+    return Error("rule nests deeper than " + std::to_string(kMaxNestingDepth) +
+                 " levels");
+  }
+
+  /// Joins `acc` and `right` under a binary connective, enforcing the cap.
+  Result<Subformula> Join(FormulaPtr (*make)(FormulaPtr, FormulaPtr),
+                          const Subformula& acc, const Subformula& right) {
+    const int height = std::max(acc.height, right.height) + 1;
+    if (height > kMaxNestingDepth) return TooDeep();
+    return Subformula{make(acc.formula, right.formula), height};
+  }
+
+  Result<Subformula> ParseOr() {
+    Result<Subformula> acc = ParseAnd();
+    while (acc.ok() && Peek().kind == TokenKind::kOr) {
       Advance();
-      Result<FormulaPtr> right = ParseAnd();
+      Result<Subformula> right = ParseAnd();
       if (!right.ok()) return right;
-      acc = Or(acc, *right);
+      acc = Join(Or, *acc, *right);
     }
     return acc;
   }
 
-  Result<FormulaPtr> ParseAnd() {
-    Result<FormulaPtr> left = ParseUnary();
-    if (!left.ok()) return left;
-    FormulaPtr acc = *left;
-    while (Peek().kind == TokenKind::kAnd) {
+  Result<Subformula> ParseAnd() {
+    Result<Subformula> acc = ParseUnary();
+    while (acc.ok() && Peek().kind == TokenKind::kAnd) {
       Advance();
-      Result<FormulaPtr> right = ParseUnary();
+      Result<Subformula> right = ParseUnary();
       if (!right.ok()) return right;
-      acc = And(acc, *right);
+      acc = Join(And, *acc, *right);
     }
     return acc;
   }
 
-  Result<FormulaPtr> ParseUnary() {
-    if (Peek().kind == TokenKind::kNot) {
-      Advance();
-      Result<FormulaPtr> inner = ParseUnary();
-      if (!inner.ok()) return inner;
-      return Not(*inner);
+  Result<Subformula> ParseUnary() {
+    const bool is_not = Peek().kind == TokenKind::kNot;
+    if (!is_not && Peek().kind != TokenKind::kLParen) {
+      Result<FormulaPtr> atom = ParseAtom();
+      if (!atom.ok()) return atom.status();
+      // An atom written with '!=' is Not(atom): two levels.
+      return Subformula{*atom, (*atom)->kind == FormulaKind::kNot ? 2 : 1};
     }
-    if (Peek().kind == TokenKind::kLParen) {
-      Advance();
-      Result<FormulaPtr> inner = ParseOr();
-      if (!inner.ok()) return inner;
-      if (Peek().kind != TokenKind::kRParen) return Error("expected ')'");
-      Advance();
-      return inner;
+    if (depth_ >= kMaxNestingDepth) return TooDeep();
+    Advance();
+    ++depth_;
+    Result<Subformula> inner = is_not ? ParseUnary() : ParseOr();
+    --depth_;
+    if (!inner.ok()) return inner;
+    if (is_not) {
+      if (inner->height >= kMaxNestingDepth) return TooDeep();
+      return Subformula{Not(inner->formula), inner->height + 1};
     }
-    return ParseAtom();
+    if (Peek().kind != TokenKind::kRParen) return Error("expected ')'");
+    Advance();
+    return inner;
   }
 
   /// Parses the equality operator; sets `negated` for '!='.
@@ -314,6 +344,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t index_ = 0;
+  int depth_ = 0;  // '(' and '!' levels currently open
 };
 
 }  // namespace

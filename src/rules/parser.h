@@ -14,6 +14,11 @@
 //   const    := "<" uri ">" | identifier
 //   var      := identifier            (not one of val/subj/prop)
 //
+// Formulas nest at most 256 levels: '(' and '!' nesting, and the height of
+// the formula tree ('!', '&&' and '||' each add a level). Deeper input fails
+// with ParseError, so hostile rule text cannot exhaust the stack of the
+// recursive passes downstream.
+//
 // Examples (the builtin rules of Section 2.2 in this syntax):
 //   Cov:    c = c -> val(c) = 1
 //   Sim:    !(c1 = c2) && prop(c1) = prop(c2) && val(c1) = 1 -> val(c2) = 1

@@ -226,9 +226,10 @@ TEST(BnbTest, CutoffToleranceScalesWithObjectiveMagnitude) {
   EXPECT_NEAR(r.x[c], 1.0, 1e-6);
 }
 
-TEST(BnbTest, BranchingRulesAgreeOnTheOptimum) {
-  // Pseudo-cost and most-fractional branching explore different trees but
-  // must land on the same optimal value.
+TEST(BnbTest, KnapsackReachesHandComputedOptimum) {
+  // values {9,7,6,5,4,3}, weights {5,4,4,3,2,2}, capacity 9. The LP bound is
+  // 16.5 (items 4 and 0 whole, half of item 1), so no packing beats 16, and
+  // 16 is reached by {0,1}, {0,4,5}, {1,3,4} and {1,3,5}.
   Model m;
   std::vector<int> vars;
   const double value[6] = {9, 7, 6, 5, 4, 3};
@@ -241,16 +242,14 @@ TEST(BnbTest, BranchingRulesAgreeOnTheOptimum) {
   }
   m.AddConstraint("cap", std::move(cap), -kInfinity, 9);
   m.SetObjective(std::move(obj));
-  MipOptions pseudo;
-  pseudo.stop_at_first_incumbent = false;
-  pseudo.branching = BranchingRule::kPseudoCost;
-  MipOptions fractional = pseudo;
-  fractional.branching = BranchingRule::kMostFractional;
-  const MipResult rp = SolveMip(m, pseudo);
-  const MipResult rf = SolveMip(m, fractional);
-  ASSERT_EQ(rp.status, MipStatus::kOptimal);
-  ASSERT_EQ(rf.status, MipStatus::kOptimal);
-  EXPECT_NEAR(rp.objective, rf.objective, 1e-6);
+  MipOptions options;
+  options.stop_at_first_incumbent = false;
+  const MipResult r = SolveMip(m, options);
+  ASSERT_EQ(r.status, MipStatus::kOptimal);
+  EXPECT_NEAR(r.objective, -16.0, 1e-6);
+  double packed = 0.0;
+  for (int i = 0; i < 6; ++i) packed += weight[i] * r.x[vars[i]];
+  EXPECT_LE(packed, 9.0 + 1e-6);
 }
 
 TEST(BnbTest, RootProbingFixesForcedBinaries) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "rules/ast.h"
 #include "rules/builtins.h"
 #include "rules/parser.h"
@@ -78,6 +80,51 @@ TEST(ParserTest, RejectsSyntaxErrors) {
   EXPECT_FALSE(ParseFormula("subj(c) = val(d)").ok());
   EXPECT_FALSE(ParseRule("val(c) = 1").ok());  // no arrow
   EXPECT_FALSE(ParseRule("val(c) = 1 -> ").ok());
+}
+
+std::string Repeat(const std::string& text, int times) {
+  std::string out;
+  for (int i = 0; i < times; ++i) out += text;
+  return out;
+}
+
+TEST(ParserTest, NestingUpToTheCapParses) {
+  // 256 levels of '(' / '!' nesting, and a 256-high '&&' chain.
+  EXPECT_TRUE(ParseFormula(Repeat("(", 256) + "c = c" + Repeat(")", 256)).ok());
+  EXPECT_TRUE(ParseFormula(Repeat("!", 255) + "c = c").ok());
+  const std::string chain = "c = c" + Repeat(" && c = c", 255);
+  EXPECT_TRUE(ParseFormula(chain).ok());
+  // Parentheses nest the parser but add no tree height.
+  EXPECT_TRUE(ParseFormula(Repeat("(", 200) + chain + Repeat(")", 200)).ok());
+  EXPECT_TRUE(ParseRule(chain + " -> val(c) = 1").ok());
+}
+
+TEST(ParserTest, NestingPastTheCapIsAParseError) {
+  const std::string too_deep[] = {
+      Repeat("(", 257) + "c = c" + Repeat(")", 257),
+      Repeat("!", 256) + "c = c",
+      "c = c" + Repeat(" && c = c", 256),
+      "c = c" + Repeat(" || c = c", 256),
+      // 101 levels of nesting, but a tree 300 high: 100 '!' over a
+      // parenthesized 200-high chain.
+      Repeat("!", 100) + "(c = c" + Repeat(" && c = c", 199) + ")",
+  };
+  for (const std::string& text : too_deep) {
+    auto f = ParseFormula(text);
+    ASSERT_FALSE(f.ok()) << text.size();
+    EXPECT_EQ(f.status().code(), StatusCode::kParseError);
+    EXPECT_NE(f.status().message().find("deeper than 256"), std::string::npos)
+        << f.status().message();
+  }
+  // Input that used to overflow the stack: 10k parens, 60k '!', 20k '&&'.
+  for (const std::string& text :
+       {Repeat("(", 10000) + "c = c" + Repeat(")", 10000) + " -> val(c) = 1",
+        Repeat("!", 60000) + "c = c -> val(c) = 1",
+        "c = c" + Repeat(" && c = c", 20000) + " -> val(c) = 1"}) {
+    auto r = ParseRule(text);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(ParserTest, ErrorsMentionOffset) {

@@ -1,7 +1,7 @@
 // Sparse-basis simplex tests: the LU factorization + eta-file engine against
-// the dense-inverse oracle on randomized bounded-variable LPs, partial vs
-// full pricing, warm starts, degenerate/cycling fixtures under the Bland
-// fallback, and refactorization stats.
+// the dense-inverse reference (reached through SolveLpWithBasis) on
+// randomized bounded-variable LPs and degenerate/cycling fixtures under the
+// Bland fallback, warm starts, and refactorization stats.
 
 #include <gtest/gtest.h>
 
@@ -78,40 +78,20 @@ Model RandomLp(std::mt19937_64* rng) {
   return m;
 }
 
-SimplexOptions WithBasis(BasisKind kind) {
-  SimplexOptions options;
-  options.basis_kind = kind;
-  return options;
-}
+/// Both basis representations, for the fixtures that must hold under each.
+constexpr BasisFactory kBothBases[] = {MakeLuFactorization, MakeDenseInverse};
 
 TEST(SimplexSparseTest, RandomizedLpsMatchDenseInverseOracle) {
   std::mt19937_64 rng(20140814);
   for (int trial = 0; trial < 200; ++trial) {
     const Model m = RandomLp(&rng);
-    const LpResult lu = SolveLp(m, WithBasis(BasisKind::kLuFactorization));
-    const LpResult dense = SolveLp(m, WithBasis(BasisKind::kDenseInverse));
+    const LpResult lu = SolveLp(m);
+    const LpResult dense = SolveLpWithBasis(MakeDenseInverse, m);
     ASSERT_EQ(lu.status, dense.status)
         << "trial " << trial << ": LU " << LpStatusName(lu.status)
         << " vs dense " << LpStatusName(dense.status);
     if (lu.status == LpStatus::kOptimal) {
       EXPECT_NEAR(lu.objective, dense.objective, kObjTol) << "trial " << trial;
-    }
-  }
-}
-
-TEST(SimplexSparseTest, PartialAndFullPricingAgree) {
-  std::mt19937_64 rng(271828);
-  for (int trial = 0; trial < 120; ++trial) {
-    const Model m = RandomLp(&rng);
-    SimplexOptions partial;
-    partial.pricing = PricingRule::kPartialDantzig;
-    SimplexOptions full;
-    full.pricing = PricingRule::kDantzig;
-    const LpResult a = SolveLp(m, partial);
-    const LpResult b = SolveLp(m, full);
-    ASSERT_EQ(a.status, b.status) << "trial " << trial;
-    if (a.status == LpStatus::kOptimal) {
-      EXPECT_NEAR(a.objective, b.objective, kObjTol) << "trial " << trial;
     }
   }
 }
@@ -124,7 +104,7 @@ TEST(SimplexSparseTest, WarmStartFromOwnOptimumNeedsNoPivots) {
     const LpResult cold = SolveLp(m);
     if (cold.status != LpStatus::kOptimal) continue;
     SimplexOptions options;
-    options.warm_start = &cold.basis;
+    options.warm_basis = &cold.basis;
     const LpResult warm = SolveLp(m, options);
     ASSERT_EQ(warm.status, LpStatus::kOptimal) << "trial " << trial;
     EXPECT_TRUE(warm.warm_started) << "trial " << trial;
@@ -157,7 +137,7 @@ TEST(SimplexSparseTest, WarmStartAfterBoundPerturbationMatchesColdStart) {
     }
     const LpResult cold = SolveLp(m, {}, &lb, &ub);
     SimplexOptions options;
-    options.warm_start = &base.basis;
+    options.warm_basis = &base.basis;
     const LpResult warm = SolveLp(m, options, &lb, &ub);
     ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
     EXPECT_TRUE(warm.warm_started) << "trial " << trial;
@@ -179,7 +159,7 @@ TEST(SimplexSparseTest, MismatchedWarmBasisFallsBackToColdStart) {
   wrong_shape.basic = {0, 1, 2};  // three rows' worth for a one-row model
   wrong_shape.status = {BasisStatus::kAtLower};
   SimplexOptions options;
-  options.warm_start = &wrong_shape;
+  options.warm_basis = &wrong_shape;
   const LpResult r = SolveLp(m, options);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_FALSE(r.warm_started);
@@ -203,8 +183,8 @@ TEST(SimplexSparseTest, BealeCyclingFixtureTerminatesUnderBothBackends) {
                   -kInfinity, 0.0);
   m.AddConstraint("cap", {{x3, 1.0}}, -kInfinity, 1.0);
   m.SetObjective({{x1, -0.75}, {x2, 150.0}, {x3, -0.02}, {x4, 6.0}});
-  for (BasisKind kind : {BasisKind::kLuFactorization, BasisKind::kDenseInverse}) {
-    const LpResult r = SolveLp(m, WithBasis(kind));
+  for (BasisFactory make_basis : kBothBases) {
+    const LpResult r = SolveLpWithBasis(make_basis, m);
     ASSERT_EQ(r.status, LpStatus::kOptimal) << LpStatusName(r.status);
     EXPECT_NEAR(r.objective, -0.05, kObjTol);
   }
@@ -223,8 +203,8 @@ TEST(SimplexSparseTest, HighlyDegenerateVertexTerminates) {
     m.AddConstraint("mix", {{x, 1.0 * s}, {y, 2.0 * s}}, -kInfinity, 2.0 * s);
   }
   m.SetObjective({{x, -1.0}, {y, -1.0}, {z, -1.0}});
-  for (BasisKind kind : {BasisKind::kLuFactorization, BasisKind::kDenseInverse}) {
-    const LpResult r = SolveLp(m, WithBasis(kind));
+  for (BasisFactory make_basis : kBothBases) {
+    const LpResult r = SolveLpWithBasis(make_basis, m);
     ASSERT_EQ(r.status, LpStatus::kOptimal);
     EXPECT_NEAR(r.objective, -2.0, kObjTol);
   }

@@ -1,14 +1,19 @@
-// Regression lock for the instance-reuse exact path: FindHighestTheta and
-// FindLowestK with reuse_instances on (one cached encoding per k, reweighted
-// per theta; heuristic-ladder results scored once per k) must produce
-// bit-identical outputs to the rebuild-per-instance baseline
-// (reuse_instances off) — on the quickstart dataset and on random indices
-// small enough that the exact MIP, not just the heuristics, settles
-// instances. bench/bench_solver.cc asserts the same identity at larger sizes
-// while measuring the speedup.
+// Fresh-solver oracle for the incremental RefinementSolver. A long-lived
+// solver keeps one encoding per k (reweighted per theta), chains each exact
+// solve's root basis into the next instance, and caches the heuristic
+// ladder's refinements; none of that may change an answer. So every
+// Exists(k, theta) over the MakeThetaGrid points of a long-lived solver must
+// decide as the same call on a brand-new solver does, and the long-lived
+// FindHighestTheta / FindLowestK must equal the same searches folded over
+// fresh per-instance solvers (theta/k, instance counts, proof flags,
+// witnesses). Runs on the quickstart dataset and on random indices,
+// with the heuristic ladder on and off (off: every instance is settled by
+// the exact MIP).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "../bench/bench_util.h"
@@ -23,49 +28,144 @@ namespace {
 
 using bench::RenderSorts;
 
-SolverOptions WithReuse(bool reuse) {
+Rational SigmaAll(const eval::Evaluator& evaluator) {
+  const eval::SigmaCounts all = evaluator.CountsAll();
+  if (all.total == 0) return Rational(1);
+  return Rational(static_cast<std::int64_t>(all.favorable),
+                  static_cast<std::int64_t>(all.total));
+}
+
+std::string Witness(const DecisionResult& r) {
+  return r.refinement.has_value() ? RenderSorts(*r.refinement) : "-";
+}
+
+DecisionResult FreshExists(const eval::Evaluator& evaluator,
+                           const SolverOptions& options, int k,
+                           Rational theta) {
+  RefinementSolver fresh(&evaluator, options);
+  return fresh.Exists(k, theta);
+}
+
+/// One long-lived solver answers every grid point for k = 1..3 in sequence
+/// (so its caches and warm-basis chain span thetas and k values); each
+/// decision must equal a fresh solver's. Heuristic and shortcut witnesses
+/// must be identical too. A witness the MIP found may differ: the chained
+/// root LP starts from the previous instance's basis, and below the ceiling
+/// many partitions meet theta, so the dive can land on another one. That
+/// witness must still be a valid k-sort refinement at theta.
+void ExpectDecisionsMatchFresh(const eval::Evaluator& evaluator,
+                               const SolverOptions& options,
+                               const std::string& context) {
+  RefinementSolver chained(&evaluator, options);
+  const ThetaGrid grid = MakeThetaGrid(SigmaAll(evaluator), options.theta_step);
+  for (int k : {1, 2, 3}) {
+    for (std::int64_t g = grid.first; g <= grid.last; ++g) {
+      const Rational theta = grid.Theta(g);
+      const DecisionResult a = chained.Exists(k, theta);
+      const DecisionResult b = FreshExists(evaluator, options, k, theta);
+      const std::string where =
+          context + " k=" + std::to_string(k) + " theta=" + theta.ToString();
+      EXPECT_EQ(DecisionName(a.decision), DecisionName(b.decision)) << where;
+      EXPECT_EQ(a.via_greedy, b.via_greedy) << where;
+      if (a.mip_nodes == 0 || !a.refinement.has_value()) {
+        EXPECT_EQ(Witness(a), Witness(b)) << where;
+        continue;
+      }
+      EXPECT_LE(a.refinement->num_sorts(), static_cast<std::size_t>(k))
+          << where;
+      EXPECT_TRUE(ValidateRefinement(evaluator, *a.refinement, theta).ok())
+          << where;
+    }
+  }
+}
+
+/// The long-lived searches against the same scans folded over fresh
+/// per-instance solvers.
+void ExpectSearchesMatchFresh(const eval::Evaluator& evaluator,
+                              const SolverOptions& options,
+                              const std::string& context) {
+  RefinementSolver chained(&evaluator, options);
+  const Rational sigma_all = SigmaAll(evaluator);
+  const ThetaGrid grid = MakeThetaGrid(sigma_all, options.theta_step);
+
+  for (int k : {1, 2, 3}) {
+    const HighestThetaResult a = chained.FindHighestTheta(k);
+    // Sequential scan upward from sigma_all, one fresh solver per instance.
+    Rational theta = sigma_all;
+    std::string witness = RenderSorts(
+        SortRefinement{{eval::AllSignatures(evaluator.index())}});
+    int instances = 0;
+    bool ceiling_proven = grid.first > grid.last;
+    for (std::int64_t g = grid.first; g <= grid.last; ++g) {
+      const DecisionResult r =
+          FreshExists(evaluator, options, k, grid.Theta(g));
+      ++instances;
+      if (r.decision == Decision::kExists) {
+        theta = grid.Theta(g);
+        witness = RenderSorts(*r.refinement);
+        if (g == grid.last) ceiling_proven = true;
+        continue;
+      }
+      ceiling_proven = r.decision == Decision::kNotExists;
+      break;
+    }
+    const std::string where = context + " k=" + std::to_string(k);
+    EXPECT_EQ(a.theta, theta) << where;
+    EXPECT_EQ(a.instances, instances) << where;
+    EXPECT_EQ(a.ceiling_proven, ceiling_proven) << where;
+    EXPECT_EQ(RenderSorts(a.refinement), witness) << where;
+  }
+
+  const int n = static_cast<int>(evaluator.index().num_signatures());
+  for (const Rational& theta :
+       {Rational(3, 4), Rational(9, 10), Rational(1)}) {
+    const Result<LowestKResult> a = chained.FindLowestK(theta);
+    // k ladder upward from 1, one fresh solver per instance.
+    int found_k = 0;
+    int instances = 0;
+    bool proven_minimal = true;
+    std::string witness;
+    for (int k = 1; k <= std::max(n, 1); ++k) {
+      const DecisionResult r = FreshExists(evaluator, options, k, theta);
+      ++instances;
+      if (r.decision == Decision::kExists) {
+        found_k = k;
+        witness = RenderSorts(*r.refinement);
+        break;
+      }
+      if (r.decision == Decision::kUnknown) proven_minimal = false;
+    }
+    const std::string where = context + " theta=" + theta.ToString();
+    ASSERT_EQ(a.ok(), found_k > 0) << where;
+    if (!a.ok()) {
+      // Exhausted: a proof only when every fresh instance was decided.
+      const StatusCode expected = proven_minimal
+                                      ? StatusCode::kNotFound
+                                      : StatusCode::kResourceExhausted;
+      EXPECT_EQ(a.status().code(), expected) << where;
+      continue;
+    }
+    EXPECT_EQ(a->k, found_k) << where;
+    EXPECT_EQ(a->instances, instances) << where;
+    EXPECT_EQ(a->proven_minimal, proven_minimal) << where;
+    EXPECT_EQ(RenderSorts(a->refinement), witness) << where;
+  }
+}
+
+void ExpectMatchesFresh(const eval::Evaluator& evaluator,
+                        const SolverOptions& options,
+                        const std::string& context) {
+  ExpectDecisionsMatchFresh(evaluator, options, context);
+  ExpectSearchesMatchFresh(evaluator, options, context);
+}
+
+SolverOptions PureExact() {
   SolverOptions options;
-  options.reuse_instances = reuse;
+  options.greedy_first = false;
   return options;
 }
 
-void ExpectSearchesIdentical(const eval::Evaluator& evaluator,
-                             const std::string& context) {
-  // Fresh solvers per mode: reuse must not leak across configurations.
-  RefinementSolver reused(&evaluator, WithReuse(true));
-  RefinementSolver rebuilt(&evaluator, WithReuse(false));
-
-  for (int k : {1, 2, 3}) {
-    const HighestThetaResult a = reused.FindHighestTheta(k);
-    const HighestThetaResult b = rebuilt.FindHighestTheta(k);
-    EXPECT_EQ(a.theta, b.theta) << context << " k=" << k;
-    EXPECT_EQ(RenderSorts(a.refinement), RenderSorts(b.refinement))
-        << context << " k=" << k;
-    EXPECT_EQ(a.instances, b.instances) << context << " k=" << k;
-    EXPECT_EQ(a.ceiling_proven, b.ceiling_proven) << context << " k=" << k;
-  }
-
-  for (const Rational& theta :
-       {Rational(3, 4), Rational(9, 10), Rational(1)}) {
-    auto a = reused.FindLowestK(theta);
-    auto b = rebuilt.FindLowestK(theta);
-    ASSERT_EQ(a.ok(), b.ok()) << context << " theta=" << theta.ToString();
-    if (!a.ok()) {
-      EXPECT_EQ(a.status().code(), b.status().code())
-          << context << " theta=" << theta.ToString();
-      continue;
-    }
-    EXPECT_EQ(a->k, b->k) << context << " theta=" << theta.ToString();
-    EXPECT_EQ(RenderSorts(a->refinement), RenderSorts(b->refinement))
-        << context << " theta=" << theta.ToString();
-    EXPECT_EQ(a->proven_minimal, b->proven_minimal)
-        << context << " theta=" << theta.ToString();
-    EXPECT_EQ(a->instances, b->instances)
-        << context << " theta=" << theta.ToString();
-  }
-}
-
-TEST(SolverReuseTest, QuickstartSearchesBitIdentical) {
+TEST(SolverReuseTest, QuickstartMatchesFreshSolvers) {
   auto dataset = api::Dataset::FromNTriplesFile(
       "examples/data/quickstart.nt", {.sort = "http://x/Person"});
   if (!dataset.ok()) {
@@ -77,11 +177,14 @@ TEST(SolverReuseTest, QuickstartSearchesBitIdentical) {
   const schema::SignatureIndex& index = dataset->index();
   for (const rules::Rule& rule : {rules::CovRule(), rules::SimRule()}) {
     auto evaluator = eval::MakeEvaluator(rule, &index);
-    ExpectSearchesIdentical(*evaluator, "quickstart/" + rule.name());
+    ExpectMatchesFresh(*evaluator, SolverOptions{},
+                       "quickstart/" + rule.name());
+    ExpectMatchesFresh(*evaluator, PureExact(),
+                       "quickstart-exact/" + rule.name());
   }
 }
 
-TEST(SolverReuseTest, RandomIndexSearchesBitIdentical) {
+TEST(SolverReuseTest, RandomIndexMatchesFreshSolvers) {
   for (std::uint64_t seed : {1, 7, 21}) {
     gen::RandomIndexSpec spec;
     spec.num_signatures = 6;
@@ -90,43 +193,28 @@ TEST(SolverReuseTest, RandomIndexSearchesBitIdentical) {
     const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
     for (const rules::Rule& rule : {rules::CovRule(), rules::SimRule()}) {
       auto evaluator = eval::MakeEvaluator(rule, &index);
-      ExpectSearchesIdentical(
-          *evaluator, "seed " + std::to_string(seed) + "/" + rule.name());
+      ExpectMatchesFresh(*evaluator, SolverOptions{},
+                         "seed " + std::to_string(seed) + "/" + rule.name());
     }
   }
 }
 
-TEST(SolverReuseTest, PureMipSearchesBitIdentical) {
+TEST(SolverReuseTest, PureMipMatchesFreshSolvers) {
   // With the heuristic ladder off, every instance is settled by the exact
-  // encoding — the strongest check that a reweighted instance solves exactly
-  // like a fresh build.
-  gen::RandomIndexSpec spec;
-  spec.num_signatures = 5;
-  spec.num_properties = 3;
-  spec.seed = 4;
-  const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
-  auto evaluator = eval::MakeEvaluator(rules::CovRule(), &index);
-
-  SolverOptions reuse_on = WithReuse(true);
-  reuse_on.greedy_first = false;
-  SolverOptions reuse_off = WithReuse(false);
-  reuse_off.greedy_first = false;
-  RefinementSolver reused(evaluator.get(), reuse_on);
-  RefinementSolver rebuilt(evaluator.get(), reuse_off);
-
-  for (int k : {2, 3}) {
-    const HighestThetaResult a = reused.FindHighestTheta(k);
-    const HighestThetaResult b = rebuilt.FindHighestTheta(k);
-    EXPECT_EQ(a.theta, b.theta) << "k=" << k;
-    EXPECT_EQ(RenderSorts(a.refinement), RenderSorts(b.refinement)) << "k=" << k;
-    EXPECT_EQ(a.instances, b.instances) << "k=" << k;
-  }
-  auto a = reused.FindLowestK(Rational(9, 10));
-  auto b = rebuilt.FindLowestK(Rational(9, 10));
-  ASSERT_EQ(a.ok(), b.ok());
-  if (a.ok()) {
-    EXPECT_EQ(a->k, b->k);
-    EXPECT_EQ(RenderSorts(a->refinement), RenderSorts(b->refinement));
+  // encoding: the strongest check that a reweighted, warm-started instance
+  // solves exactly like a fresh build with a cold root LP.
+  for (std::uint64_t seed : {3, 4, 11, 29}) {
+    gen::RandomIndexSpec spec;
+    spec.num_signatures = 5;
+    spec.num_properties = 3;
+    spec.seed = seed;
+    const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
+    for (const rules::Rule& rule : {rules::CovRule(), rules::SimRule()}) {
+      auto evaluator = eval::MakeEvaluator(rule, &index);
+      ExpectMatchesFresh(*evaluator, PureExact(),
+                         "exact seed " + std::to_string(seed) + "/" +
+                             rule.name());
+    }
   }
 }
 
