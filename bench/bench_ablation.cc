@@ -1,101 +1,26 @@
-// Ablations over the encoding decisions documented in DESIGN.md: symmetry
-// breaking (precedence vs the paper's hash constraints vs none), continuous
-// vs binary auxiliary variables, sign-directed vs paper-literal linking, and
-// greedy-first vs pure MIP. Each variant answers the same decision instances;
-// we report encoding sizes, node counts, and wall time.
+// Ablations over the Section 7 search strategies: greedy-first vs pure MIP,
+// and the paper's sequential theta scan vs bisection. Both sides of each pair
+// answer the same highest-theta query; we report the theta found, instance
+// counts, and wall time.
 
 #include <iostream>
 
 #include "bench_util.h"
-#include "core/ilp_builder.h"
-#include "eval/enumerator.h"
 #include "gen/persons.h"
-#include "ilp/branch_and_bound.h"
 #include "util/timer.h"
-
-namespace rdfsr {
-namespace {
-
-struct Variant {
-  const char* name;
-  core::IlpBuildOptions build;
-};
-
-std::vector<Variant> Variants() {
-  std::vector<Variant> variants;
-  variants.push_back({"default (precedence, cont-aux, sign-link, subst)", {}});
-  {
-    Variant v{"paper hash symmetry", {}};
-    v.build.symmetry = core::IlpBuildOptions::SymmetryBreaking::kHash;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"no symmetry breaking", {}};
-    v.build.symmetry = core::IlpBuildOptions::SymmetryBreaking::kNone;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"binary aux (U,T integer)", {}};
-    v.build.continuous_aux = false;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"paper-literal linking", {}};
-    v.build.sign_directed_linking = false;
-    v.build.substitute_singleton_taus = false;
-    variants.push_back(v);
-  }
-  return variants;
-}
-
-}  // namespace
-}  // namespace rdfsr
 
 int main(int argc, char** argv) {
   using namespace rdfsr;  // NOLINT(build/namespaces)
   bench::InitHarness(argc, argv, "ablation");
-  bench::Banner("Ablation: encoding variants on a DBpedia-Persons instance",
-                "DESIGN.md optimizations; all variants must agree on the "
-                "decision");
+  bench::Banner("Ablation: search strategies on a DBpedia-Persons instance",
+                "Section 7 search; both sides of each pair must find the "
+                "same theta");
 
   gen::PersonsConfig config;
-  config.num_subjects = 600;  // small instance so every variant terminates
+  config.num_subjects = 600;  // small instance so every search terminates
   const schema::SignatureIndex index = gen::GeneratePersons(config);
   auto cov = eval::ClosedFormEvaluator::Cov(&index);
-  const auto taus = eval::EnumerateTauCounts(cov->rule(), index);
-  std::cout << "dataset: " << index.num_signatures() << " signatures, "
-            << taus.size() << " non-zero taus\n";
-
-  // A feasible and a (likely) infeasible threshold around the optimum.
-  const double sigma = cov->SigmaAll();
-  const Rational feasible = Rational::FromDouble(sigma + 0.05);
-  const Rational hard = Rational::FromDouble(0.99);
-
-  for (const Rational& theta : {feasible, hard}) {
-    std::cout << "\n--- k = 2, theta = " << theta.ToString() << " ---\n";
-    TextTable table({"variant", "rows", "cols", "decision", "nodes", "ms"});
-    for (const auto& variant : Variants()) {
-      WallTimer timer;
-      core::IlpEncoding enc = core::BuildRefinementIlp(
-          index, cov->rule(), taus, 2, theta, variant.build);
-      ilp::MipOptions mip;
-      mip.time_limit_seconds = 20.0;
-      const ilp::MipResult result = ilp::SolveMip(enc.model, mip);
-      bench::Json().Record(
-          "mip_variant",
-          {{"variant", variant.name}, {"theta", theta.ToString()}},
-          timer.Seconds(),
-          {{"rows", static_cast<double>(enc.model.num_constraints())},
-           {"cols", static_cast<double>(enc.model.num_variables())},
-           {"nodes", static_cast<double>(result.nodes)}});
-      table.AddRow({variant.name, std::to_string(enc.model.num_constraints()),
-                    std::to_string(enc.model.num_variables()),
-                    ilp::MipStatusName(result.status),
-                    std::to_string(result.nodes),
-                    FormatDouble(timer.Millis(), 0)});
-    }
-    std::cout << table.ToString();
-  }
+  std::cout << "dataset: " << index.num_signatures() << " signatures\n";
 
   // Greedy-first vs pure MIP on the full sequential theta search.
   std::cout << "\n--- greedy-first vs pure MIP (highest-theta, k = 2) ---\n";

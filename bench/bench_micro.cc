@@ -86,8 +86,7 @@ void BM_BuildIlp(benchmark::State& state) {
   const auto taus = eval::EnumerateTauCounts(rule, index);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::BuildRefinementIlp(
-        index, rule, taus, static_cast<int>(state.range(0)), Rational(9, 10),
-        {}));
+        index, rule, taus, static_cast<int>(state.range(0)), Rational(9, 10)));
   }
 }
 BENCHMARK(BM_BuildIlp)->Arg(2)->Arg(4);

@@ -191,7 +191,7 @@ void ReportFrontier(TextTable* table, int frontier_n) {
   auto evaluator = eval::MakeEvaluator(rules::CovRule(), &index);
   const auto taus = eval::EnumerateTauCounts(evaluator->rule(), index);
   const auto shapes = core::AnalyzeTaus(taus, index);
-  const std::size_t rows = core::RefinementIlpActiveRows(index, shapes, 2, {});
+  const std::size_t rows = core::RefinementIlpActiveRows(index, shapes, 2);
 
   core::SolverOptions options;  // stock defaults on purpose
   options.greedy_first = false;
@@ -236,7 +236,7 @@ Measurement MeasureEncodeOnly(const eval::Evaluator& evaluator, int k) {
   m.instances = static_cast<int>(grid.last - grid.first + 1);
 
   WallTimer reuse_timer;
-  core::RefinementIlpInstance instance(index, shapes, k, {});
+  core::RefinementIlpInstance instance(index, shapes, k);
   for (std::int64_t g = grid.first; g <= grid.last; ++g) {
     instance.Reweight(grid.Theta(g));
   }
@@ -246,7 +246,7 @@ Measurement MeasureEncodeOnly(const eval::Evaluator& evaluator, int k) {
   WallTimer rebuild_timer;
   for (std::int64_t g = grid.first; g <= grid.last; ++g) {
     const core::IlpEncoding enc = core::BuildRefinementIlp(
-        index, evaluator.rule(), taus, k, grid.Theta(g), {});
+        index, evaluator.rule(), taus, k, grid.Theta(g));
     rows = enc.model.num_constraints();
   }
   const double rebuild_seconds = rebuild_timer.Seconds();
@@ -256,7 +256,7 @@ Measurement MeasureEncodeOnly(const eval::Evaluator& evaluator, int k) {
   for (std::int64_t g : {grid.first, (grid.first + grid.last) / 2, grid.last}) {
     instance.Reweight(grid.Theta(g));
     const core::IlpEncoding fresh = core::BuildRefinementIlp(
-        index, evaluator.rule(), taus, k, grid.Theta(g), {});
+        index, evaluator.rule(), taus, k, grid.Theta(g));
     if (instance.model().ToString() != fresh.model.ToString()) m.ok = false;
   }
   const double ratio = rebuild_seconds / std::max(m.seconds, 1e-9);

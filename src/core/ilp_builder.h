@@ -10,16 +10,17 @@
 //   (3) U_{i,p} <= sum_{mu: p in supp} X_{i,mu}
 //   (4) T linking (see below)
 //   (5) theta2 * sum_tau cF(tau) T_{i,tau} >= theta1 * sum_tau cT(tau) T_{i,tau}
-//   (6) optional symmetry breaking (paper's hash constraints, or precedence)
+//   (6) symmetry breaking by precedence: sort i+1 opens only after sort i
+//       (in place of the paper's hash(i) <= hash(i+1) constraints)
 //
-// Optimizations relative to the paper's literal encoding (all switchable for
-// the ablation bench, all preserving the feasible set exactly):
+// Optimizations relative to the paper's literal encoding (all preserving the
+// feasible set exactly):
 //   * tau pruning: tau with count(phi1,tau,M) = 0 cannot contribute to (5) and
 //     is never materialized (the paper hints at this: "the value of
 //     count(...) is calculated offline").
 //   * implied integrality: given integral X, constraints (2)+(3) force each
 //     U_{i,p} to exactly 0/1, and the sign-directed linking in (4) gives each
-//     T_{i,tau} exactly the freedom of AND(X,U) — so U and T can be declared
+//     T_{i,tau} exactly the freedom of AND(X,U) — so U and T are declared
 //     continuous in [0,1], shrinking the branching space to the k|Lambda|
 //     X variables.
 //   * sign-directed linking: a tau whose threshold-row weight
@@ -38,11 +39,11 @@
 // differ only in theta. Everything except the threshold-row weights is
 // theta-independent, so the encoding is split in two:
 //   * RefinementIlpInstance builds the full skeleton once per (index, k):
-//     X/U/T variables, assignment, support-link, tau-link, and symmetry rows.
-//     Both directions of every tau link are materialized; the theta-dependent
-//     side selection of sign-directed linking is applied per instance by
-//     toggling row bounds (a deactivated side is a vacuous row, dropped by
-//     the root presolve).
+//     X/U/T variables, assignment, support-link, tau-link, and precedence
+//     rows. Both directions of every tau link are materialized; the
+//     theta-dependent side selection of sign-directed linking is applied per
+//     instance by toggling row bounds (a deactivated side is a vacuous row,
+//     dropped by the root presolve).
 //   * Reweight(theta) rewrites the k threshold rows' coefficients and the
 //     link-row bounds in place through the coefficient-update API of
 //     ilp::Model — O(k * |taus|) stores, no allocation proportional to the
@@ -66,19 +67,8 @@
 
 namespace rdfsr::core {
 
-/// Encoding options (defaults = all optimizations on).
-struct IlpBuildOptions {
-  enum class SymmetryBreaking {
-    kNone,
-    kHash,        ///< The paper's hash(i) <= hash(i+1) with capped exponents.
-    kPrecedence,  ///< Sort i+1 opens only after sort i (default).
-  };
-  SymmetryBreaking symmetry = SymmetryBreaking::kPrecedence;
-  int hash_exponent_cap = 40;     ///< Cap on 2^j (paper Section 6.3).
-  bool continuous_aux = true;     ///< U and T as continuous [0,1].
-  bool sign_directed_linking = true;
-  bool substitute_singleton_taus = true;
-};
+/// No fields: kept so existing callers passing SolverOptions::build compile.
+struct IlpBuildOptions {};
 
 /// Theta-independent analysis of one tau: the distinct signatures it touches,
 /// the properties still needing a U link (those not covered by any of its own
@@ -101,17 +91,17 @@ std::vector<TauShape> AnalyzeTaus(const std::vector<eval::TauCount>& tau_counts,
 /// for a model build.
 std::size_t RefinementIlpRows(const schema::SignatureIndex& index,
                               const std::vector<TauShape>& shapes, int k,
-                              const IlpBuildOptions& options = {});
+                              const IlpBuildOptions& = {});
 
 /// Upper bound (over all theta) on the rows still ACTIVE after Reweight:
-/// with sign-directed linking each tau keeps one side — max(|linked|, 1)
+/// sign-directed linking keeps one side of each tau — max(|linked|, 1)
 /// rows — while the other side is vacuous and dropped by the presolve before
 /// the simplex. This is the count solver row ceilings should gate on;
 /// RefinementIlpRows additionally counts the deactivated rows the skeleton
 /// carries.
 std::size_t RefinementIlpActiveRows(const schema::SignatureIndex& index,
                                     const std::vector<TauShape>& shapes, int k,
-                                    const IlpBuildOptions& options = {});
+                                    const IlpBuildOptions& = {});
 
 /// A built encoding plus the decoding map.
 struct IlpEncoding {
@@ -126,15 +116,14 @@ struct IlpEncoding {
   SortRefinement Decode(const std::vector<double>& x) const;
 };
 
-/// One reusable encoding for a fixed (index, k, options): the skeleton is
+/// One reusable encoding for a fixed (index, k): the skeleton is
 /// built once, Reweight(theta) retargets it to a decision instance in place.
 /// The searches keep one instance per k and sweep it through the theta grid /
 /// k ladder instead of rebuilding O(k * |P| * n) models per instance.
 class RefinementIlpInstance {
  public:
   RefinementIlpInstance(const schema::SignatureIndex& index,
-                        std::vector<TauShape> shapes, int k,
-                        const IlpBuildOptions& options = {});
+                        std::vector<TauShape> shapes, int k);
 
   /// Retargets the encoding to threshold `theta`: rewrites the k threshold
   /// rows' coefficients and toggles the theta-dependent link-row bounds.
@@ -162,11 +151,8 @@ class RefinementIlpInstance {
   void CheckInvariants() const;
 
  private:
-  bool Substituted(const TauShape& shape) const;
-
   IlpEncoding enc_;
   std::vector<TauShape> shapes_;
-  IlpBuildOptions options_;
   // Per sort i and tau t: the T variable (-1 when substituted / X-folded).
   std::vector<std::vector<int>> t_var_;
   // Per sort i and tau t: first link-row id; rows [first, first + linked)
@@ -185,7 +171,7 @@ IlpEncoding BuildRefinementIlp(const schema::SignatureIndex& index,
                                const rules::Rule& rule,
                                const std::vector<eval::TauCount>& tau_counts,
                                int k, Rational theta,
-                               const IlpBuildOptions& options = {});
+                               const IlpBuildOptions& = {});
 
 }  // namespace rdfsr::core
 

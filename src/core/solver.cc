@@ -56,12 +56,7 @@ ThetaGrid MakeThetaGrid(Rational sigma_all, double theta_step) {
 
 RefinementSolver::RefinementSolver(const eval::Evaluator* evaluator,
                                    SolverOptions options)
-    : evaluator_(evaluator), options_(std::move(options)) {
-  RDFSR_CHECK(evaluator_ != nullptr);
-  if (options_.cache_evaluations) {
-    cached_ = std::make_unique<eval::CachedEvaluator>(evaluator_);
-  }
-}
+    : evaluator_(evaluator), cached_(evaluator), options_(std::move(options)) {}
 
 const std::vector<eval::TauCount>& RefinementSolver::TauCounts() {
   if (!tau_counts_ready_) {
@@ -82,7 +77,7 @@ const std::vector<TauShape>& RefinementSolver::Shapes() {
 RefinementIlpInstance& RefinementSolver::InstanceFor(int k) {
   if (instance_ == nullptr || instance_k_ != k) {
     instance_ = std::make_unique<RefinementIlpInstance>(
-        evaluator_->index(), Shapes(), k, options_.build);
+        evaluator_->index(), Shapes(), k);
     instance_k_ = k;
   }
   return *instance_;
@@ -283,8 +278,8 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
   // without it the simplex is handed the whole skeleton.
   const std::size_t simplex_rows =
       options_.mip.use_presolve
-          ? RefinementIlpActiveRows(index, Shapes(), k, options_.build)
-          : RefinementIlpRows(index, Shapes(), k, options_.build);
+          ? RefinementIlpActiveRows(index, Shapes(), k)
+          : RefinementIlpRows(index, Shapes(), k);
   if (simplex_rows > options_.max_mip_rows) {
     result.decision = Decision::kUnknown;
     std::ostringstream msg;

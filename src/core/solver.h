@@ -91,8 +91,6 @@ struct SolverOptions {
   /// solution to a feasible instance" — bisection front-loads infeasible
   /// instances. Kept as an option for the ablation bench.
   bool binary_theta_search = false;
-  /// Memoize sigma evaluations across heuristic and validation calls.
-  bool cache_evaluations = true;
   /// Skip the exact MIP when the encoding exceeds this many rows; the
   /// instance then resolves to kUnknown unless the heuristic found a witness.
   /// The ceiling is a time guard, not a memory one, and it bounds the ROOT
@@ -213,10 +211,9 @@ class RefinementSolver {
     bool structure_ok = false;
   };
 
-  /// The evaluator actually consulted (the cache wrapper when enabled).
-  const eval::Evaluator& Eval() const {
-    return cached_ != nullptr ? *cached_ : *evaluator_;
-  }
+  /// The evaluator heuristics and validation consult: a memo over
+  /// `evaluator_` shared by every search this solver runs.
+  const eval::Evaluator& Eval() const { return cached_; }
 
   const std::vector<eval::TauCount>& TauCounts();
   /// Theta-independent tau link analysis, shared by every encoding.
@@ -230,7 +227,7 @@ class RefinementSolver {
   const ScoredRefinement& GreedyFor(int k);
 
   const eval::Evaluator* evaluator_;
-  std::unique_ptr<eval::CachedEvaluator> cached_;
+  eval::CachedEvaluator cached_;
   SolverOptions options_;
   // Tau counts and shapes depend only on (rule, dataset) — theta enters the
   // encoding via the weights — so both are cached across instances.

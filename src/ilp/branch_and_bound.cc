@@ -46,6 +46,12 @@ const char* MipStopReasonName(MipStopReason reason) {
 namespace {
 
 constexpr double kOne = 1.0;
+/// An integer variable within this distance of an integer is not branched on.
+constexpr double kIntegerTol = 1e-6;
+/// Incumbent cutoff: a node is pruned when its LP bound cannot improve on the
+/// incumbent by more than kCutoffAbs + kCutoffRel * |incumbent|.
+constexpr double kCutoffAbs = 1e-9;
+constexpr double kCutoffRel = 1e-9;
 /// Work cap for the root probing pass, in row-term evaluations. Keeps the
 /// pass a fixed small fraction of a big instance's solve time.
 constexpr long long kProbeBudget = 2000000;
@@ -171,7 +177,7 @@ class BranchAndBound {
     const double gain = model_.objective().empty()
                             ? std::max(info.parent_frac - frac, 0.0)
                             : std::max(obj - info.parent_obj, 0.0);
-    const double dist = std::max(info.dist, options_.integer_tol);
+    const double dist = std::max(info.dist, kIntegerTol);
     if (info.up) {
       pc_up_[info.var] += gain / dist;
       ++cnt_up_[info.var];
@@ -226,7 +232,7 @@ class BranchAndBound {
       const double f = v - std::floor(v);
       const double frac = std::min(f, 1.0 - f);
       total_frac += frac;
-      if (frac <= options_.integer_tol) continue;
+      if (frac <= kIntegerTol) continue;
       const double down = cnt_down_[j] > 0 ? pc_down_[j] / cnt_down_[j] : kOne;
       const double up = cnt_up_[j] > 0 ? pc_up_[j] / cnt_up_[j] : kOne;
       const double score = (down * f) * (up * (1.0 - f));
@@ -242,8 +248,7 @@ class BranchAndBound {
     // Bound pruning against the incumbent (minimization): prune when the
     // node bound cannot improve the incumbent by more than the gap.
     if (have_incumbent_ && !model_.objective().empty()) {
-      const double gap =
-          options_.cutoff_abs + options_.cutoff_rel * std::abs(incumbent_obj_);
+      const double gap = kCutoffAbs + kCutoffRel * std::abs(incumbent_obj_);
       if (lp.objective > incumbent_obj_ - gap) return;
     }
 

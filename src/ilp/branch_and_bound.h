@@ -83,7 +83,6 @@ struct MipResult {
 
 /// Search limits and behavior.
 struct MipOptions {
-  double integer_tol = 1e-6;
   long long max_nodes = 2000000;
   double time_limit_seconds = 120.0;
   /// Stop at the first integer-feasible point (decision problems — the sort
@@ -96,10 +95,6 @@ struct MipOptions {
   /// solve). Ignored when its shape does not match the model branch-and-bound
   /// actually solves (i.e. after presolve).
   const SimplexBasis* warm_basis = nullptr;
-  /// Incumbent cutoff: a node is pruned when its LP bound cannot improve on
-  /// the incumbent by more than cutoff_abs + cutoff_rel * |incumbent|.
-  double cutoff_abs = 1e-9;
-  double cutoff_rel = 1e-9;
   SimplexOptions lp;
   /// Polled at every node (and, via `lp`, inside each simplex solve): a trip
   /// unwinds the search with the incumbent found so far (anytime semantics).

@@ -82,12 +82,14 @@ double Model::ObjectiveValue(const std::vector<double>& x) const {
   return value;
 }
 
-bool Model::IsFeasible(const std::vector<double>& x, double tol) const {
+bool Model::IsFeasible(const std::vector<double>& x, double tolerance) const {
   if (x.size() != variables_.size()) return false;
   for (std::size_t j = 0; j < variables_.size(); ++j) {
     const Variable& v = variables_[j];
-    if (x[j] < v.lower - tol || x[j] > v.upper + tol) return false;
-    if (v.is_integer && std::abs(x[j] - std::round(x[j])) > tol) return false;
+    if (x[j] < v.lower - tolerance || x[j] > v.upper + tolerance) return false;
+    if (v.is_integer && std::abs(x[j] - std::round(x[j])) > tolerance) {
+      return false;
+    }
   }
   for (const Constraint& c : constraints_) {
     double sum = 0.0;
@@ -96,7 +98,8 @@ bool Model::IsFeasible(const std::vector<double>& x, double tol) const {
     // counts (threshold rows) are judged relatively.
     double scale = 1.0;
     for (const LinTerm& t : c.terms) scale = std::max(scale, std::abs(t.coef));
-    if (sum < c.lower - tol * scale || sum > c.upper + tol * scale) {
+    if (sum < c.lower - tolerance * scale ||
+        sum > c.upper + tolerance * scale) {
       return false;
     }
   }

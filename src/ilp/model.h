@@ -93,8 +93,8 @@ class Model {
   /// Objective value of a point.
   double ObjectiveValue(const std::vector<double>& x) const;
 
-  /// Checks bounds, integrality, and all constraints at `x` within `tol`.
-  bool IsFeasible(const std::vector<double>& x, double tol = 1e-6) const;
+  /// Checks bounds, integrality, and all constraints at `x` within `tolerance`.
+  bool IsFeasible(const std::vector<double>& x, double tolerance = 1e-6) const;
 
   /// Human-readable LP-format-ish dump (debugging aid).
   std::string ToString() const;

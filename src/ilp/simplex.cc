@@ -25,6 +25,12 @@ const char* LpStatusName(LpStatus status) {
 namespace {
 
 constexpr double kPivotEps = 1e-9;
+/// Reduced-cost tolerance: a nonbasic column prices in only beyond it.
+constexpr double kReducedCostTol = 1e-7;
+/// Primal feasibility tolerance (phase-1 exit and basic-value bound checks).
+constexpr double kFeasTol = 1e-6;
+/// Basic values are recomputed from scratch every this many pivots.
+constexpr int kRefreshInterval = 128;
 
 /// Internal solver state for one LP solve.
 class Simplex {
@@ -33,7 +39,6 @@ class Simplex {
           const SimplexOptions& options, const std::vector<double>* lower,
           const std::vector<double>* upper)
       : options_(options),
-        feas_tol_(std::max(10 * options.tol, 1e-6)),
         n_struct_(static_cast<int>(model.num_variables())),
         m_(static_cast<int>(model.num_constraints())),
         n_(n_struct_ + m_),
@@ -94,7 +99,7 @@ class Simplex {
         Extract(&result);
         return result;
       }
-      if (iter > 0 && iter % options_.refresh_interval == 0) RecomputeBasics();
+      if (iter > 0 && iter % kRefreshInterval == 0) RecomputeBasics();
       const bool phase1 = ComputePhase1Costs();
       const std::vector<double>& cost = phase1 ? phase1_cost_ : cost_;
 
@@ -106,7 +111,7 @@ class Simplex {
 
       if (entering < 0) {
         RecomputeBasics();
-        if (TotalInfeasibility() > feas_tol_) {
+        if (TotalInfeasibility() > kFeasTol) {
           result.status = LpStatus::kInfeasible;
         } else if (phase1) {
           // Violations were within tolerance after the refresh; re-price with
@@ -139,9 +144,9 @@ class Simplex {
         const double rate = -direction * wr;
         double target;
         if (rate > 0) {
-          if (x_[i] < lb_[i] - feas_tol_) {
+          if (x_[i] < lb_[i] - kFeasTol) {
             target = lb_[i];  // infeasible below, improving: block at lower
-          } else if (x_[i] > ub_[i] + feas_tol_) {
+          } else if (x_[i] > ub_[i] + kFeasTol) {
             continue;  // infeasible above, worsening: no block (the phase-1
                        // objective prices the worsening; composite rule)
           } else if (ub_[i] < kInfinity) {
@@ -150,9 +155,9 @@ class Simplex {
             continue;
           }
         } else {
-          if (x_[i] > ub_[i] + feas_tol_) {
+          if (x_[i] > ub_[i] + kFeasTol) {
             target = ub_[i];  // infeasible above, improving: block at upper
-          } else if (x_[i] < lb_[i] - feas_tol_) {
+          } else if (x_[i] < lb_[i] - kFeasTol) {
             continue;  // infeasible below, worsening: no block
           } else if (lb_[i] > -kInfinity) {
             target = lb_[i];
@@ -289,12 +294,12 @@ class Simplex {
       if (state_[j] == BasisStatus::kBasic) return false;
       const double d = cost[j] - ColumnDual(j);
       int dir;
-      if (state_[j] == BasisStatus::kAtLower && d < -options_.tol) {
+      if (state_[j] == BasisStatus::kAtLower && d < -kReducedCostTol) {
         dir = +1;
-      } else if (state_[j] == BasisStatus::kAtUpper && d > options_.tol) {
+      } else if (state_[j] == BasisStatus::kAtUpper && d > kReducedCostTol) {
         dir = -1;
       } else if (state_[j] == BasisStatus::kAtZero &&
-                 std::abs(d) > options_.tol) {
+                 std::abs(d) > kReducedCostTol) {
         dir = d < 0 ? +1 : -1;
       } else {
         return false;
@@ -324,7 +329,7 @@ class Simplex {
       const int len = std::min(segment_, n_ - scanned);
       int best = -1;
       int best_dir = 0;
-      double best_score = options_.tol;
+      double best_score = kReducedCostTol;
       for (int t = 0; t < len; ++t) {
         int j = cursor_ + t;
         if (j >= n_) j -= n_;
@@ -355,10 +360,10 @@ class Simplex {
     phase1_cost_.assign(n_, 0.0);
     for (int r = 0; r < m_; ++r) {
       const int i = basic_[r];
-      if (x_[i] < lb_[i] - feas_tol_) {
+      if (x_[i] < lb_[i] - kFeasTol) {
         phase1_cost_[i] = -1.0;
         any = true;
-      } else if (x_[i] > ub_[i] + feas_tol_) {
+      } else if (x_[i] > ub_[i] + kFeasTol) {
         phase1_cost_[i] = 1.0;
         any = true;
       }
@@ -416,7 +421,6 @@ class Simplex {
   }
 
   const SimplexOptions options_;
-  const double feas_tol_;
   const int n_struct_;
   const int m_;
   const int n_;

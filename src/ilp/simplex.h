@@ -60,8 +60,6 @@ struct LpResult {
 /// Solver options.
 struct SimplexOptions {
   int max_iterations = 200000;
-  double tol = 1e-7;           ///< Feasibility / reduced-cost tolerance.
-  int refresh_interval = 128;  ///< Recompute basic values every N pivots.
   /// Refactorize once the eta file reaches this length.
   int refactor_interval = 100;
   /// Optional warm-start basis (not owned; must outlive the solve). Ignored

@@ -510,11 +510,6 @@ Status ParseNTriplesInto(std::string_view text, Graph* graph,
       options.max_errors, options.diagnostics, options.cancel);
 }
 
-Status ParseNTriplesStream(std::string_view text, const TripleSink& sink) {
-  RDFSR_CHECK(sink != nullptr);
-  return ParseLinesInto(text, 1, sink);
-}
-
 Result<Graph> ParseNTriples(std::string_view text) {
   Graph g;
   Status st = ParseNTriplesInto(text, &g);

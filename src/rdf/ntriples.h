@@ -17,7 +17,6 @@
 #define RDFSR_RDF_NTRIPLES_H_
 
 #include <cstddef>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -92,13 +91,6 @@ Status ParseNTriplesInto(std::string_view text, Graph* graph,
 /// Parses an N-Triples file from disk (read once into a single buffer).
 Result<Graph> ParseNTriplesFile(const std::string& path,
                                 const ParseOptions& options = {});
-
-/// Streaming interface: invokes `sink` for each parsed triple in input order.
-/// The TermViews are valid only for the duration of the call — copy what you
-/// keep. Always sequential (shard merging needs a graph to remap into).
-using TripleSink =
-    std::function<void(const TermView& s, const TermView& p, const TermView& o)>;
-Status ParseNTriplesStream(std::string_view text, const TripleSink& sink);
 
 /// Reads a whole file into one string with a single size-stat'ed allocation.
 Result<std::string> ReadFileToString(const std::string& path);

@@ -84,13 +84,23 @@ class Deadline {
   Deadline() = default;
 
   /// A deadline `seconds` from now (also cancellable via RequestCancel).
-  /// Non-positive budgets produce an already-expired deadline.
+  /// Non-positive budgets (and NaN) produce an already-expired deadline; a
+  /// budget past the clock's range (including +inf) never expires.
   static Deadline After(double seconds) {
-    Deadline d;
-    d.deadline_ =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(seconds));
-    d.flag_ = std::make_shared<std::atomic<bool>>(false);
+    Deadline d = Cancellable();
+    const Clock::time_point now = Clock::now();
+    if (!(seconds > 0)) {
+      d.deadline_ = now;
+      return d;
+    }
+    // Headroom in double seconds is rounded; the 1 ms margin keeps the
+    // nanosecond conversion below from overflowing.
+    const double headroom =
+        std::chrono::duration<double>(Clock::time_point::max() - now).count();
+    if (seconds < headroom - 1e-3) {
+      d.deadline_ = now + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(seconds));
+    }
     return d;
   }
 

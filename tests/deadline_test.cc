@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -38,13 +39,16 @@ TEST(DeadlineTest, DefaultTokenNeverTrips) {
 }
 
 TEST(DeadlineTest, ExpiredDeadlineReportsDeadlineExceeded) {
-  const util::Deadline deadline = util::Deadline::After(-1.0);
-  const util::CancellationToken token = deadline.token();
-  EXPECT_TRUE(token.can_trip());
-  EXPECT_TRUE(token.expired());
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_TRUE(token.stop_requested());
-  EXPECT_EQ(token.status().code(), StatusCode::kDeadlineExceeded);
+  // NaN counts as a non-positive budget.
+  for (const double seconds : {-1.0, 0.0, std::nan("")}) {
+    const util::Deadline deadline = util::Deadline::After(seconds);
+    const util::CancellationToken token = deadline.token();
+    EXPECT_TRUE(token.can_trip()) << seconds;
+    EXPECT_TRUE(token.expired()) << seconds;
+    EXPECT_FALSE(token.cancelled()) << seconds;
+    EXPECT_TRUE(token.stop_requested()) << seconds;
+    EXPECT_EQ(token.status().code(), StatusCode::kDeadlineExceeded) << seconds;
+  }
 }
 
 TEST(DeadlineTest, CancelReportsCancelled) {
@@ -62,6 +66,20 @@ TEST(DeadlineTest, CancellationWinsOverExpiry) {
   const util::Deadline deadline = util::Deadline::After(-1.0);
   deadline.RequestCancel();
   EXPECT_EQ(deadline.token().status().code(), StatusCode::kCancelled);
+}
+
+TEST(DeadlineTest, BudgetPastTheClockRangeNeverExpires) {
+  // 1e10 s is past the ~292-year range of int64 nanosecond ticks.
+  for (const double seconds : {1e10, 1e300, HUGE_VAL}) {
+    const util::Deadline deadline = util::Deadline::After(seconds);
+    const util::CancellationToken token = deadline.token();
+    EXPECT_FALSE(token.expired()) << seconds;
+    EXPECT_FALSE(token.stop_requested()) << seconds;
+    // Still cancellable, like every After() deadline.
+    EXPECT_TRUE(token.can_trip()) << seconds;
+    deadline.RequestCancel();
+    EXPECT_EQ(token.status().code(), StatusCode::kCancelled) << seconds;
+  }
 }
 
 TEST(DeadlineTest, AfterMillisZeroMeansNoDeadline) {

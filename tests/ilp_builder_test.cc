@@ -1,8 +1,7 @@
 // The Section 6 encoding, cross-checked against brute-force partition search:
 // for small random datasets, the MIP must report a refinement exactly when
 // some signature partition into <= k sorts meets the threshold — for every
-// builtin rule, several k, and several thresholds, under every encoding
-// variant (symmetry breaking, linking, aux integrality).
+// builtin rule, several k, and several thresholds.
 
 #include <gtest/gtest.h>
 
@@ -36,13 +35,11 @@ bool BruteForceExists(const eval::Evaluator& evaluator, int k, Rational theta) {
   return found;
 }
 
-Decision IlpDecide(const eval::Evaluator& evaluator, int k, Rational theta,
-                   const IlpBuildOptions& build) {
+Decision IlpDecide(const eval::Evaluator& evaluator, int k, Rational theta) {
   const std::vector<eval::TauCount> taus =
       eval::EnumerateTauCounts(evaluator.rule(), evaluator.index());
   IlpEncoding enc =
-      BuildRefinementIlp(evaluator.index(), evaluator.rule(), taus, k, theta,
-                         build);
+      BuildRefinementIlp(evaluator.index(), evaluator.rule(), taus, k, theta);
   ilp::MipOptions mip;
   mip.max_nodes = 200000;
   mip.time_limit_seconds = 30;
@@ -60,46 +57,10 @@ Decision IlpDecide(const eval::Evaluator& evaluator, int k, Rational theta,
   return Decision::kUnknown;
 }
 
-struct EncodingVariant {
-  const char* name;
-  IlpBuildOptions options;
-};
-
-std::vector<EncodingVariant> Variants() {
-  std::vector<EncodingVariant> variants;
-  {
-    EncodingVariant v{"default", {}};
-    variants.push_back(v);
-  }
-  {
-    EncodingVariant v{"hash_symmetry", {}};
-    v.options.symmetry = IlpBuildOptions::SymmetryBreaking::kHash;
-    variants.push_back(v);
-  }
-  {
-    EncodingVariant v{"no_symmetry", {}};
-    v.options.symmetry = IlpBuildOptions::SymmetryBreaking::kNone;
-    variants.push_back(v);
-  }
-  {
-    EncodingVariant v{"binary_aux", {}};
-    v.options.continuous_aux = false;
-    variants.push_back(v);
-  }
-  {
-    EncodingVariant v{"paper_linking", {}};
-    v.options.sign_directed_linking = false;
-    v.options.substitute_singleton_taus = false;
-    v.options.continuous_aux = false;
-    variants.push_back(v);
-  }
-  return variants;
-}
-
 class IlpBuilderAgreementTest
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 
-TEST_P(IlpBuilderAgreementTest, MatchesBruteForceAcrossRulesAndVariants) {
+TEST_P(IlpBuilderAgreementTest, MatchesBruteForceAcrossRules) {
   const int k = std::get<0>(GetParam());
   const std::uint64_t seed = std::get<1>(GetParam());
 
@@ -122,15 +83,12 @@ TEST_P(IlpBuilderAgreementTest, MatchesBruteForceAcrossRulesAndVariants) {
     auto evaluator = eval::MakeEvaluator(rule, &index);
     for (const Rational& theta : thetas) {
       const bool expected = BruteForceExists(*evaluator, k, theta);
-      for (const EncodingVariant& variant : Variants()) {
-        const Decision got = IlpDecide(*evaluator, k, theta, variant.options);
-        ASSERT_NE(got, Decision::kUnknown)
-            << rule.name() << " theta=" << theta.ToString() << " "
-            << variant.name;
-        EXPECT_EQ(got == Decision::kExists, expected)
-            << rule.name() << " theta=" << theta.ToString() << " k=" << k
-            << " seed=" << seed << " variant=" << variant.name;
-      }
+      const Decision got = IlpDecide(*evaluator, k, theta);
+      ASSERT_NE(got, Decision::kUnknown)
+          << rule.name() << " theta=" << theta.ToString();
+      EXPECT_EQ(got == Decision::kExists, expected)
+          << rule.name() << " theta=" << theta.ToString() << " k=" << k
+          << " seed=" << seed;
     }
   }
 }
@@ -146,8 +104,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(IlpBuilderTest, ReweightMatchesPerInstanceRebuildBitForBit) {
   // One reused instance swept through a theta ladder must equal a fresh
-  // build at every step — including after crossing weight sign flips — for
-  // every encoding variant. ToString covers names, coefficients, and bounds.
+  // build at every step — including after crossing weight sign flips.
+  // ToString covers names, coefficients, and bounds.
   gen::RandomIndexSpec spec;
   spec.num_signatures = 5;
   spec.num_properties = 4;
@@ -158,25 +116,19 @@ TEST(IlpBuilderTest, ReweightMatchesPerInstanceRebuildBitForBit) {
 
   for (const rules::Rule& rule : {rules::SimRule(), rules::CovRule()}) {
     const auto taus = eval::EnumerateTauCounts(rule, index);
-    for (const EncodingVariant& variant : Variants()) {
-      RefinementIlpInstance reused(index, AnalyzeTaus(taus, index), 2,
-                                   variant.options);
-      for (const Rational& theta : thetas) {
-        reused.Reweight(theta);
-        const IlpEncoding fresh =
-            BuildRefinementIlp(index, rule, taus, 2, theta, variant.options);
-        EXPECT_EQ(reused.model().ToString(), fresh.model.ToString())
-            << rule.name() << " theta=" << theta.ToString() << " variant "
-            << variant.name;
-      }
-      // Sweeping back down must remain exact (no residue from earlier
-      // instances).
-      reused.Reweight(Rational(1, 2));
-      const IlpEncoding fresh = BuildRefinementIlp(index, rule, taus, 2,
-                                                   Rational(1, 2),
-                                                   variant.options);
-      EXPECT_EQ(reused.model().ToString(), fresh.model.ToString());
+    RefinementIlpInstance reused(index, AnalyzeTaus(taus, index), 2);
+    for (const Rational& theta : thetas) {
+      reused.Reweight(theta);
+      const IlpEncoding fresh = BuildRefinementIlp(index, rule, taus, 2, theta);
+      EXPECT_EQ(reused.model().ToString(), fresh.model.ToString())
+          << rule.name() << " theta=" << theta.ToString();
     }
+    // Sweeping back down must remain exact (no residue from earlier
+    // instances).
+    reused.Reweight(Rational(1, 2));
+    const IlpEncoding fresh =
+        BuildRefinementIlp(index, rule, taus, 2, Rational(1, 2));
+    EXPECT_EQ(reused.model().ToString(), fresh.model.ToString());
   }
 }
 
@@ -190,23 +142,14 @@ TEST(IlpBuilderTest, RefinementIlpRowsIsExact) {
     const auto taus = eval::EnumerateTauCounts(rule, index);
     const auto shapes = AnalyzeTaus(taus, index);
     for (int k : {1, 2, 4}) {
-      for (const EncodingVariant& variant : Variants()) {
-        RefinementIlpInstance instance(index, shapes, k, variant.options);
-        const std::size_t rows =
-            RefinementIlpRows(index, shapes, k, variant.options);
-        EXPECT_EQ(rows, instance.model().num_constraints())
-            << rule.name() << " k=" << k << " variant " << variant.name;
-        // The solver's row ceiling gates on the active count: never more
-        // than the skeleton, equal to it without sign-directed linking.
-        const std::size_t active =
-            RefinementIlpActiveRows(index, shapes, k, variant.options);
-        EXPECT_LE(active, rows)
-            << rule.name() << " k=" << k << " variant " << variant.name;
-        if (!variant.options.sign_directed_linking) {
-          EXPECT_EQ(active, rows)
-              << rule.name() << " k=" << k << " variant " << variant.name;
-        }
-      }
+      RefinementIlpInstance instance(index, shapes, k);
+      const std::size_t rows = RefinementIlpRows(index, shapes, k);
+      EXPECT_EQ(rows, instance.model().num_constraints())
+          << rule.name() << " k=" << k;
+      // The solver's row ceiling gates on the active count: never more than
+      // the skeleton.
+      EXPECT_LE(RefinementIlpActiveRows(index, shapes, k), rows)
+          << rule.name() << " k=" << k;
     }
   }
 }
@@ -220,15 +163,14 @@ TEST(IlpBuilderTest, EncodingShapesDiagnostics) {
   const rules::Rule cov = rules::CovRule();
   const auto taus = eval::EnumerateTauCounts(cov, index);
 
-  IlpEncoding enc =
-      BuildRefinementIlp(index, cov, taus, 2, Rational(9, 10), {});
+  IlpEncoding enc = BuildRefinementIlp(index, cov, taus, 2, Rational(9, 10));
   // Cov taus always touch one signature with the property either inside the
   // support (substituted) or outside (needs a U link).
   EXPECT_GT(enc.num_tau_substituted, 0);
   EXPECT_GT(enc.model.num_variables(), 0u);
   EXPECT_GT(enc.model.num_constraints(), 0u);
 
-  // Every X variable is binary; with continuous_aux U/T are not.
+  // Every X variable is binary; U and T are continuous.
   int integer_vars = 0;
   for (const auto& v : enc.model.variables()) integer_vars += v.is_integer;
   EXPECT_EQ(integer_vars, 2 * 5);  // k * num_signatures
@@ -240,7 +182,7 @@ TEST(IlpBuilderTest, DecodeDropsEmptySorts) {
       schema::SignatureIndex::FromSignatures({"a", "b"}, sigs);
   const rules::Rule cov = rules::CovRule();
   const auto taus = eval::EnumerateTauCounts(cov, index);
-  IlpEncoding enc = BuildRefinementIlp(index, cov, taus, 3, Rational(0), {});
+  IlpEncoding enc = BuildRefinementIlp(index, cov, taus, 3, Rational(0));
   // Hand-build a solution: both signatures in sort 0.
   std::vector<double> x(enc.model.num_variables(), 0.0);
   x[enc.x_var[0][0]] = 1.0;
@@ -257,8 +199,8 @@ TEST(IlpBuilderTest, ThetaOneRequiresPerfectSorts) {
       schema::SignatureIndex::FromSignatures({"a", "b"}, sigs);
   auto evaluator = eval::MakeEvaluator(rules::CovRule(), &index);
 
-  EXPECT_EQ(IlpDecide(*evaluator, 1, Rational(1), {}), Decision::kNotExists);
-  EXPECT_EQ(IlpDecide(*evaluator, 2, Rational(1), {}), Decision::kExists);
+  EXPECT_EQ(IlpDecide(*evaluator, 1, Rational(1)), Decision::kNotExists);
+  EXPECT_EQ(IlpDecide(*evaluator, 2, Rational(1)), Decision::kExists);
 }
 
 }  // namespace

@@ -93,6 +93,15 @@ TEST(NTriplesTest, DecodesUnicodeEscapes) {
   ASSERT_TRUE(g.ok()) << g.status().ToString();
   const Term& o = g->dict().term(g->triples()[0].object);
   EXPECT_EQ(o.lexical, "\xc3\xa9\xf0\x9f\x98\x80");  // é + 😀 in UTF-8
+
+  // Escaped IRIs and literal escapes decode too, even though unescaped forms
+  // are parsed zero-copy.
+  auto escaped =
+      ParseNTriples("<http://x/caf\\u00e9> <http://x/p> \"a\\tb\" .\n");
+  ASSERT_TRUE(escaped.ok()) << escaped.status().ToString();
+  const Triple& t = escaped->triples()[0];
+  EXPECT_EQ(escaped->dict().term(t.subject).lexical, "http://x/caf\xc3\xa9");
+  EXPECT_EQ(escaped->dict().term(t.object).lexical, "a\tb");
 }
 
 TEST(NTriplesTest, ErrorsCarryLineNumbers) {
@@ -165,34 +174,6 @@ TEST(NTriplesTest, MissingFileIsNotFound) {
   auto g = ParseNTriplesFile("/nonexistent/path.nt");
   ASSERT_FALSE(g.ok());
   EXPECT_EQ(g.status().code(), StatusCode::kNotFound);
-}
-
-TEST(NTriplesTest, StreamSinkSeesTriplesInOrder) {
-  std::vector<std::string> subjects;
-  Status st = ParseNTriplesStream(
-      "<http://x/a> <http://x/p> \"1\" .\n"
-      "_:b <http://x/p> \"2\" .\n",
-      [&](const TermView& s, const TermView& p, const TermView& o) {
-        subjects.push_back(std::string(s.lexical));
-        EXPECT_EQ(p.kind, TermKind::kIri);
-        EXPECT_EQ(o.kind, TermKind::kLiteral);
-      });
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(subjects, (std::vector<std::string>{"http://x/a", "b"}));
-}
-
-TEST(NTriplesTest, StreamDecodesEscapedViews) {
-  // Escaped forms must decode even though unescaped forms are zero-copy.
-  std::string lex, iri;
-  Status st = ParseNTriplesStream(
-      "<http://x/caf\\u00e9> <http://x/p> \"a\\tb\" .\n",
-      [&](const TermView& s, const TermView&, const TermView& o) {
-        iri = std::string(s.lexical);
-        lex = std::string(o.lexical);
-      });
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(iri, "http://x/caf\xc3\xa9");
-  EXPECT_EQ(lex, "a\tb");
 }
 
 TEST(NTriplesTest, ReadFileToStringSingleBuffer) {

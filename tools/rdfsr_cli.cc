@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
@@ -114,11 +115,12 @@ std::string FormatSigma(double value) {
 }
 
 // Strict numeric parsing: the whole string must convert, so typos fail loudly
-// instead of silently becoming 0 (atoi/strtod leftovers).
+// instead of silently becoming 0 (atoi/strtod leftovers). NaN is rejected: it
+// fails every range check by comparing false.
 bool ParseDouble(const char* text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text, &end);
-  return end != text && *end == '\0';
+  return end != text && *end == '\0' && !std::isnan(*out);
 }
 
 bool ParseInt(const char* text, int* out) {
@@ -259,7 +261,9 @@ rdfsr::Result<Dataset> Load(const Args& args) {
   options.max_errors = static_cast<std::size_t>(args.max_errors);
   std::vector<rdfsr::rdf::ParseDiagnostic> diagnostics;
   if (args.max_errors > 0) options.diagnostics = &diagnostics;
-  if (args.timeout > 0) {
+  // A budget too large for int64 milliseconds (up to +inf) leaves the load
+  // unbounded.
+  if (args.timeout > 0 && args.timeout * 1000.0 < 9e18) {
     options.deadline_ms =
         static_cast<std::int64_t>(args.timeout * 1000.0) + 1;
   }
