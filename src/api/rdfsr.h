@@ -68,8 +68,9 @@ struct DatasetOptions {
   /// and merge per-shard dictionaries in chunk order, which produces the
   /// exact same dataset (term ids, triple order, index) as sequential — a
   /// pure throughput knob for multi-million-triple files. Values < 1 mean
-  /// one thread per hardware thread; the count is capped so every chunk
-  /// keeps at least ~1 MiB of input (tiny files parse on fewer threads).
+  /// one thread per hardware thread; the count is capped at the hardware
+  /// thread count, and so that every chunk keeps at least ~1 MiB of input
+  /// (tiny files parse on fewer threads).
   /// The clamped count the load actually used is
   /// Dataset::effective_parse_threads(); the same worker pool is reused for
   /// the signature-index build stages.
@@ -163,7 +164,8 @@ class Dataset {
 
   /// Parser threads the load actually used after clamping
   /// DatasetOptions::parse_threads (< 1 resolved to the hardware
-  /// concurrency, then capped at the input's chunk count). 1 for datasets
+  /// concurrency, then capped at the hardware concurrency and the input's
+  /// chunk count). 1 for datasets
   /// built FromGraph / FromIndex or sliced from another dataset.
   int effective_parse_threads() const;
 

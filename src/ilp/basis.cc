@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+
+#include "util/check.h"
 
 namespace rdfsr::ilp {
 namespace {
@@ -16,17 +19,41 @@ constexpr double kSingularTol = 1e-10;
 /// static count) wins — trading a bounded amount of growth for less fill.
 constexpr double kRelPivotTol = 0.1;
 
-/// Smallest eta / replacement pivot the product-form update accepts; below
-/// this Update() reports failure and the caller refactorizes.
+/// Smallest replacement pivot (B^-1 a at the leaving position) an update
+/// accepts; below this Update() reports failure and the caller refactorizes.
 constexpr double kUpdatePivotTol = 1e-9;
+
+/// The Forrest–Tomlin diagonal must equal the old diagonal times the
+/// replacement pivot; a larger relative disagreement means the factors have
+/// drifted, and Update() reports failure instead of storing it.
+constexpr double kUpdateDriftTol = 1e-8;
 
 struct Entry {
   int idx;
   double val;
 };
 
+/// Removes the entry with index `idx` from `list` (order is not kept: every
+/// reader of a U list scatters into distinct targets).
+void EraseEntry(std::vector<Entry>* list, int idx) {
+  for (Entry& e : *list) {
+    if (e.idx == idx) {
+      e = list->back();
+      list->pop_back();
+      return;
+    }
+  }
+  RDFSR_DCHECK(false) << "U row and column indexes disagree";
+}
+
+/// Resizes `lists` to m empty lists, keeping their capacity.
+void ClearLists(std::vector<std::vector<Entry>>* lists, int m) {
+  lists->resize(m);
+  for (std::vector<Entry>& list : *lists) list.clear();
+}
+
 // ---------------------------------------------------------------------------
-// Sparse LU (left-looking Gilbert–Peierls style elimination).
+// Sparse LU: left-looking Gilbert–Peierls elimination, Forrest–Tomlin update.
 // ---------------------------------------------------------------------------
 
 class LuFactorization final : public BasisRep {
@@ -40,7 +67,7 @@ class LuFactorization final : public BasisRep {
                    std::vector<double>* w) const override;
   void Btran(std::vector<double>* v) const override;
   bool Update(int pos, const std::vector<double>& w) override;
-  int eta_length() const override { return static_cast<int>(etas_.size()); }
+  int eta_length() const override { return updates_; }
 
  private:
   // Eliminates one basis column (basis position `p`). Returns false when the
@@ -48,41 +75,68 @@ class LuFactorization final : public BasisRep {
   bool FactorColumn(const std::vector<std::pair<int, double>>& col, int p,
                     const std::vector<int>& row_count, int* done,
                     std::vector<double>* work, std::vector<int>* touched);
+  // x := R_t ... R_1 L^-1 x, in row space.
+  void ApplyLAndRowEtas(std::vector<double>* x) const;
+  // Solves U z = P x and scatters z to basis-position space, in place.
+  void SolveU(std::vector<double>* x) const;
 
   int m_;
-  // Factor storage, indexed by elimination order k:
-  //   col_order_[k]  basis position eliminated k-th       (k -> position)
-  //   pivot_row_[k]  matrix row chosen as pivot           (k -> row)
-  //   row_pos_[r]    inverse of pivot_row_                (row -> k)
-  //   l_cols_[k]     L multipliers (matrix row, l)        (unit diagonal)
-  //   u_cols_[k]     U off-diagonals (position k' < k, value)
-  //   u_diag_[k]     U diagonal
-  std::vector<int> col_order_, pivot_row_, row_pos_;
-  std::vector<std::vector<Entry>> l_cols_, u_cols_;
+  // A slot is one step of the last factorization: a (pivot row, basis
+  // position) pair that updates keep while they rewrite its U column.
+  //   pivot_row_[s]   matrix row pivoted in slot s     (slot -> row)
+  //   col_order_[s]   basis position of slot s         (slot -> position)
+  //   row_pos_[r]     inverse of pivot_row_            (row -> slot)
+  //   slot_of_pos_[p] inverse of col_order_            (position -> slot)
+  //   l_cols_[s]      L multipliers (matrix row, l), applied in slot order
+  //   u_cols_[s]      U off-diagonals of column s (row slot, value)
+  //   u_rows_[s]      the same entries by row (column slot, value)
+  //   u_diag_[s]      U diagonal
+  //   order_          U's triangular order of the slots; rank_ its inverse
+  std::vector<int> col_order_, pivot_row_, row_pos_, slot_of_pos_;
+  std::vector<std::vector<Entry>> l_cols_, u_cols_, u_rows_;
   std::vector<double> u_diag_;
+  std::vector<int> order_, rank_;
 
-  // Product-form updates since the last factorization, oldest first. `pos`
-  // and `others` indices live in basis-position space.
-  struct Eta {
-    int pos;
-    double pivot;
-    std::vector<Entry> others;
-  };
-  std::vector<Eta> etas_;
+  // Forrest–Tomlin row etas since the last factorization, oldest first, in
+  // row space: eta t does x[r_target_[t]] -= sum l * x[row] over
+  // r_entries_[r_start_[t] .. r_start_[t + 1]).
+  std::vector<int> r_target_, r_start_;
+  std::vector<Entry> r_entries_;
+  int updates_ = 0;
 
+  // The entering column's L^-1 a after the row etas (row space), kept by
+  // FtranColumn for the Update that must follow it.
+  mutable std::vector<Entry> spike_;
+  mutable bool spike_valid_ = false;
+
+  // Scratch, all-zero between calls: mark_ flags slots (FactorColumn's reach,
+  // Update's heap), rho_ accumulates by slot in Update.
+  std::vector<char> mark_;
+  std::vector<int> reach_, stack_, heap_;
+  std::vector<double> rho_;
   mutable std::vector<double> scratch_;
 };
 
 void LuFactorization::Factorize(const SparseColumns& cols, int n_struct,
                                 std::vector<int>* basic,
                                 std::vector<int>* ejected) {
-  etas_.clear();
-  l_cols_.assign(m_, {});
-  u_cols_.assign(m_, {});
+  ClearLists(&l_cols_, m_);
+  ClearLists(&u_cols_, m_);
+  ClearLists(&u_rows_, m_);
   u_diag_.assign(m_, 0.0);
   col_order_.assign(m_, -1);
   pivot_row_.assign(m_, -1);
   row_pos_.assign(m_, -1);
+  slot_of_pos_.assign(m_, -1);
+  r_target_.clear();
+  r_start_.assign(1, 0);
+  r_entries_.clear();
+  updates_ = 0;
+  spike_valid_ = false;
+  mark_.assign(m_, 0);
+  rho_.assign(m_, 0.0);
+  reach_.reserve(m_);
+  stack_.reserve(m_);
 
   // Static row counts over the basis columns: the Markowitz-style tie-break.
   std::vector<int> row_count(m_, 0);
@@ -133,6 +187,15 @@ void LuFactorization::Factorize(const SparseColumns& cols, int n_struct,
       u_diag_[k] = -1.0;
     }
   }
+
+  order_.resize(m_);
+  rank_.resize(m_);
+  for (int s = 0; s < m_; ++s) {
+    order_[s] = s;
+    rank_[s] = s;
+    slot_of_pos_[col_order_[s]] = s;
+    for (const Entry& e : u_cols_[s]) u_rows_[e.idx].push_back({s, e.val});
+  }
 }
 
 bool LuFactorization::FactorColumn(
@@ -147,10 +210,34 @@ bool LuFactorization::FactorColumn(
     work[row] += coef;
   }
 
-  // Apply the already-computed L columns in elimination order; each op can
-  // spread the column into new rows, so the scan walks all finished columns.
-  const int finished = *done;
-  for (int k = 0; k < finished; ++k) {
+  // Symbolic reach: the finished steps that can touch this column are those
+  // whose pivot row is nonzero in it, plus, transitively, those whose pivot
+  // row is filled by an L column of a reached step. Every L column of step k
+  // writes only rows pivoted after k, so ascending order is a topological one.
+  reach_.clear();
+  for (const auto& [row, coef] : col) {
+    (void)coef;
+    const int k0 = row_pos_[row];
+    if (k0 < 0 || mark_[k0] != 0) continue;
+    mark_[k0] = 1;
+    stack_.push_back(k0);
+    while (!stack_.empty()) {
+      const int k = stack_.back();
+      stack_.pop_back();
+      reach_.push_back(k);
+      for (const Entry& e : l_cols_[k]) {
+        const int next = row_pos_[e.idx];
+        if (next < 0 || mark_[next] != 0) continue;
+        mark_[next] = 1;
+        stack_.push_back(next);
+      }
+    }
+  }
+  std::sort(reach_.begin(), reach_.end());
+
+  // Apply the reached L columns in elimination order.
+  for (int k : reach_) {
+    mark_[k] = 0;
     const double val = work[pivot_row_[k]];
     if (val == 0.0) continue;
     for (const Entry& e : l_cols_[k]) {
@@ -211,33 +298,40 @@ bool LuFactorization::FactorColumn(
   return true;
 }
 
-void LuFactorization::Ftran(std::vector<double>* v) const {
+void LuFactorization::ApplyLAndRowEtas(std::vector<double>* v) const {
   std::vector<double>& x = *v;
-  // L pass in elimination order, in row space.
-  for (int k = 0; k < m_; ++k) {
-    const double val = x[pivot_row_[k]];
+  for (int s = 0; s < m_; ++s) {
+    const double val = x[pivot_row_[s]];
     if (val == 0.0) continue;
-    for (const Entry& e : l_cols_[k]) x[e.idx] -= e.val * val;
+    for (const Entry& e : l_cols_[s]) x[e.idx] -= e.val * val;
   }
-  // Gather to elimination order and back-substitute through U.
+  for (std::size_t t = 0; t < r_target_.size(); ++t) {
+    double acc = x[r_target_[t]];
+    for (int i = r_start_[t]; i < r_start_[t + 1]; ++i) {
+      acc -= r_entries_[i].val * x[r_entries_[i].idx];
+    }
+    x[r_target_[t]] = acc;
+  }
+}
+
+void LuFactorization::SolveU(std::vector<double>* v) const {
+  std::vector<double>& x = *v;
   std::vector<double>& z = scratch_;
   z.resize(m_);
-  for (int k = 0; k < m_; ++k) z[k] = x[pivot_row_[k]];
-  for (int k = m_ - 1; k >= 0; --k) {
-    const double xk = z[k] / u_diag_[k];
-    z[k] = xk;
-    if (xk == 0.0) continue;
-    for (const Entry& e : u_cols_[k]) z[e.idx] -= e.val * xk;
+  for (int s = 0; s < m_; ++s) z[s] = x[pivot_row_[s]];
+  for (int i = m_ - 1; i >= 0; --i) {
+    const int s = order_[i];
+    const double xs = z[s] / u_diag_[s];
+    z[s] = xs;
+    if (xs == 0.0) continue;
+    for (const Entry& e : u_cols_[s]) z[e.idx] -= e.val * xs;
   }
-  // Scatter to basis-position space, then sweep the eta file oldest-first:
-  // B_new = B_old * E, so B_new^-1 applies E^-1 after the base solve.
-  for (int k = 0; k < m_; ++k) x[col_order_[k]] = z[k];
-  for (const Eta& eta : etas_) {
-    const double piv = x[eta.pos] / eta.pivot;
-    x[eta.pos] = piv;
-    if (piv == 0.0) continue;
-    for (const Entry& e : eta.others) x[e.idx] -= e.val * piv;
-  }
+  for (int s = 0; s < m_; ++s) x[col_order_[s]] = z[s];
+}
+
+void LuFactorization::Ftran(std::vector<double>* v) const {
+  ApplyLAndRowEtas(v);
+  SolveU(v);
 }
 
 void LuFactorization::FtranColumn(
@@ -245,141 +339,129 @@ void LuFactorization::FtranColumn(
     std::vector<double>* w) const {
   w->assign(m_, 0.0);
   for (const auto& [row, coef] : column) (*w)[row] += coef;
-  Ftran(w);
+  ApplyLAndRowEtas(w);
+  spike_.clear();
+  for (int r = 0; r < m_; ++r) {
+    if ((*w)[r] != 0.0) spike_.push_back({r, (*w)[r]});
+  }
+  spike_valid_ = true;
+  SolveU(w);
 }
 
 void LuFactorization::Btran(std::vector<double>* v) const {
   std::vector<double>& y = *v;
-  // Eta file newest-first: B_new^-T applies E^-T before the base solve.
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double acc = y[it->pos];
-    for (const Entry& e : it->others) acc -= e.val * y[e.idx];
-    y[it->pos] = acc / it->pivot;
-  }
-  // Gather to elimination order, solve U^T forward.
+  // Gather to slots and solve U^T z = y in U's order, row by row.
   std::vector<double>& z = scratch_;
   z.resize(m_);
-  for (int k = 0; k < m_; ++k) z[k] = y[col_order_[k]];
-  for (int k = 0; k < m_; ++k) {
-    double acc = z[k];
-    for (const Entry& e : u_cols_[k]) acc -= e.val * z[e.idx];
-    z[k] = acc / u_diag_[k];
+  for (int s = 0; s < m_; ++s) z[s] = y[col_order_[s]];
+  for (int i = 0; i < m_; ++i) {
+    const int s = order_[i];
+    const double zs = z[s] / u_diag_[s];
+    z[s] = zs;
+    if (zs == 0.0) continue;
+    for (const Entry& e : u_rows_[s]) z[e.idx] -= e.val * zs;
   }
-  // Scatter to row space, then apply the transposed L ops in reverse order:
-  // each op adjusts only its own pivot row from rows eliminated later.
-  for (int k = 0; k < m_; ++k) y[pivot_row_[k]] = z[k];
-  for (int k = m_ - 1; k >= 0; --k) {
-    double acc = y[pivot_row_[k]];
-    for (const Entry& e : l_cols_[k]) acc -= e.val * y[e.idx];
-    y[pivot_row_[k]] = acc;
+  // Scatter to row space, then the transposed row etas newest first and the
+  // transposed L ops in reverse order.
+  for (int s = 0; s < m_; ++s) y[pivot_row_[s]] = z[s];
+  for (std::size_t t = r_target_.size(); t-- > 0;) {
+    const double yt = y[r_target_[t]];
+    if (yt == 0.0) continue;
+    for (int i = r_start_[t]; i < r_start_[t + 1]; ++i) {
+      y[r_entries_[i].idx] -= r_entries_[i].val * yt;
+    }
+  }
+  for (int s = m_ - 1; s >= 0; --s) {
+    double acc = y[pivot_row_[s]];
+    for (const Entry& e : l_cols_[s]) acc -= e.val * y[e.idx];
+    y[pivot_row_[s]] = acc;
   }
 }
 
 bool LuFactorization::Update(int pos, const std::vector<double>& w) {
+  RDFSR_DCHECK(spike_valid_)
+      << "Update must follow the FtranColumn of the entering column";
+  spike_valid_ = false;
   const double piv = w[pos];
   if (std::fabs(piv) < kUpdatePivotTol) return false;
-  Eta eta;
-  eta.pos = pos;
-  eta.pivot = piv;
-  for (int i = 0; i < m_; ++i) {
-    if (i == pos) continue;
-    if (w[i] != 0.0) eta.others.push_back({i, w[i]});
+  const int sp = slot_of_pos_[pos];
+
+  // Forrest–Tomlin: the spike replaces U's column sp, and sp moves to the end
+  // of U's order. Row sp then has entries left of its diagonal, which one row
+  // eta eliminates with the rows after it, visited in rank order (a heap over
+  // the rows the elimination fills). Nothing is stored before the new
+  // diagonal passes its check.
+  const auto later = [this](int a, int b) { return rank_[a] > rank_[b]; };
+  std::vector<int>& heap = heap_;  // slots by rank, min first
+  heap.clear();
+  for (const Entry& e : u_rows_[sp]) {
+    rho_[e.idx] = e.val;
+    mark_[e.idx] = 1;
+    heap.push_back(e.idx);
   }
-  etas_.push_back(std::move(eta));
+  std::make_heap(heap.begin(), heap.end(), later);
+  const std::size_t eta_begin = r_entries_.size();
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const int j = heap.back();
+    heap.pop_back();
+    const double val = rho_[j];
+    rho_[j] = 0.0;
+    mark_[j] = 0;
+    if (val == 0.0) continue;
+    const double r = val / u_diag_[j];
+    r_entries_.push_back({pivot_row_[j], r});
+    for (const Entry& e : u_rows_[j]) {
+      if (mark_[e.idx] == 0) {
+        mark_[e.idx] = 1;
+        heap.push_back(e.idx);
+        std::push_heap(heap.begin(), heap.end(), later);
+      }
+      rho_[e.idx] -= r * e.val;
+    }
+  }
+
+  // The new diagonal: the spike's sp entry after the row eta.
+  for (const Entry& e : spike_) rho_[row_pos_[e.idx]] = e.val;
+  double diag = rho_[sp];
+  for (std::size_t i = eta_begin; i < r_entries_.size(); ++i) {
+    diag -= r_entries_[i].val * rho_[row_pos_[r_entries_[i].idx]];
+  }
+  const double expected = piv * u_diag_[sp];
+  if (!(std::fabs(diag - expected) <= kUpdateDriftTol * std::fabs(expected))) {
+    for (const Entry& e : spike_) rho_[row_pos_[e.idx]] = 0.0;
+    r_entries_.resize(eta_begin);
+    return false;
+  }
+
+  // Commit: row and column sp leave U, the spike becomes column sp.
+  for (const Entry& e : u_cols_[sp]) EraseEntry(&u_rows_[e.idx], sp);
+  for (const Entry& e : u_rows_[sp]) EraseEntry(&u_cols_[e.idx], sp);
+  u_cols_[sp].clear();
+  u_rows_[sp].clear();
+  for (const Entry& e : spike_) {
+    const int s = row_pos_[e.idx];
+    rho_[s] = 0.0;
+    if (s == sp) continue;
+    u_cols_[sp].push_back({s, e.val});
+    u_rows_[s].push_back({sp, e.val});
+  }
+  u_diag_[sp] = diag;
+  if (r_entries_.size() > eta_begin) {
+    r_target_.push_back(pivot_row_[sp]);
+    r_start_.push_back(static_cast<int>(r_entries_.size()));
+  }
+  order_.erase(order_.begin() + rank_[sp]);
+  order_.push_back(sp);
+  for (int i = rank_[sp]; i < m_; ++i) rank_[order_[i]] = i;
+  ++updates_;
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// Dense inverse: the reference implementation the LP tests compare the LU
-// with. Factorization (including warm-start repair) delegates to the LU and
-// densifies its inverse; per-iteration ops are O(m^2) row operations.
-// ---------------------------------------------------------------------------
-
-class DenseInverse final : public BasisRep {
- public:
-  explicit DenseInverse(int m) : m_(m), lu_(m) {}
-
-  void Factorize(const SparseColumns& cols, int n_struct,
-                 std::vector<int>* basic, std::vector<int>* ejected) override {
-    lu_.Factorize(cols, n_struct, basic, ejected);
-    binv_.assign(static_cast<std::size_t>(m_) * m_, 0.0);
-    std::vector<double> col(m_);
-    for (int i = 0; i < m_; ++i) {
-      col.assign(m_, 0.0);
-      col[i] = 1.0;
-      lu_.Ftran(&col);  // column i of B^-1
-      for (int r = 0; r < m_; ++r) {
-        binv_[static_cast<std::size_t>(r) * m_ + i] = col[r];
-      }
-    }
-  }
-
-  void Ftran(std::vector<double>* v) const override {
-    std::vector<double>& out = scratch_;
-    out.assign(m_, 0.0);
-    for (int r = 0; r < m_; ++r) {
-      const double* row = &binv_[static_cast<std::size_t>(r) * m_];
-      double acc = 0.0;
-      for (int k = 0; k < m_; ++k) acc += row[k] * (*v)[k];
-      out[r] = acc;
-    }
-    v->swap(out);
-  }
-
-  void FtranColumn(const std::vector<std::pair<int, double>>& column,
-                   std::vector<double>* w) const override {
-    // Exploits the column's sparsity: O(nnz * m) instead of O(m^2).
-    w->assign(m_, 0.0);
-    for (const auto& [row, coef] : column) {
-      for (int r = 0; r < m_; ++r) {
-        (*w)[r] += binv_[static_cast<std::size_t>(r) * m_ + row] * coef;
-      }
-    }
-  }
-
-  void Btran(std::vector<double>* v) const override {
-    std::vector<double>& out = scratch_;
-    out.assign(m_, 0.0);
-    for (int r = 0; r < m_; ++r) {
-      const double cr = (*v)[r];
-      if (cr == 0.0) continue;
-      const double* row = &binv_[static_cast<std::size_t>(r) * m_];
-      for (int k = 0; k < m_; ++k) out[k] += row[k] * cr;
-    }
-    v->swap(out);
-  }
-
-  bool Update(int pos, const std::vector<double>& w) override {
-    const double piv = w[pos];
-    if (std::fabs(piv) < kUpdatePivotTol) return false;
-    double* prow = &binv_[static_cast<std::size_t>(pos) * m_];
-    const double inv = 1.0 / piv;
-    for (int k = 0; k < m_; ++k) prow[k] *= inv;
-    for (int i = 0; i < m_; ++i) {
-      if (i == pos) continue;
-      const double f = w[i];
-      if (f == 0.0) continue;
-      double* row = &binv_[static_cast<std::size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) row[k] -= f * prow[k];
-    }
-    return true;
-  }
-
- private:
-  int m_;
-  LuFactorization lu_;
-  std::vector<double> binv_;  // row-major: binv_[pos][row]
-  mutable std::vector<double> scratch_;
-};
 
 }  // namespace
 
 std::unique_ptr<BasisRep> MakeLuFactorization(int m) {
   return std::make_unique<LuFactorization>(m);
-}
-
-std::unique_ptr<BasisRep> MakeDenseInverse(int m) {
-  return std::make_unique<DenseInverse>(m);
 }
 
 }  // namespace rdfsr::ilp

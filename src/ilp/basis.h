@@ -8,25 +8,32 @@
 //   * Update: replace the column at one basis position after a pivot
 //   * Factorize: rebuild the representation from the basic variable list
 //
-// LuFactorization is the engine's basis: a sparse LU of B via a left-looking
-// column-by-column elimination. Columns are processed in ascending-nonzero
-// order and the pivot row is chosen among numerically acceptable candidates
-// (within a threshold of the column's max) by smallest static row count — a
-// Markowitz-style choice that controls fill. Pivots append product-form eta
-// matrices to the factorization; the simplex refactorizes periodically
-// (SimplexOptions::refactor_interval) or when an update pivot is too small to
-// be stable. Ftran/Btran are triangular solves plus an eta sweep: O(m + fill)
-// instead of the dense O(m^2).
+// LuFactorization is the engine's basis, and the only one in src/: a sparse
+// LU of B with Forrest–Tomlin updates.
+//   * Factorize is a left-looking Gilbert–Peierls elimination (SISC 1988).
+//     Columns go sparsest first. For each one, a depth-first search from its
+//     nonzero rows through the finished L columns finds the elimination steps
+//     that can touch it, and only those are applied, in elimination order.
+//     The pivot row is chosen among numerically acceptable candidates (within
+//     a threshold of the column's max) by smallest static row count, a
+//     Markowitz-style choice that controls fill.
+//   * Update is Forrest–Tomlin (Math. Prog. 1972). FtranColumn keeps the
+//     entering column's partial solve L^-1 a (the spike); Update writes it
+//     into U as the leaving position's column, moves that column to the end
+//     of U's triangular order, and eliminates the old row with one sparse
+//     row eta, using a row-wise index of U. Nothing dense is stored per
+//     update, so Ftran/Btran cost O(m + nnz(L) + nnz(U) + nnz(row etas)).
+// Update must follow the FtranColumn of the entering column (the simplex
+// always does: the ratio test needs that column). It returns false when the
+// replacement pivot is tiny or the new U diagonal disagrees with it, and the
+// caller refactorizes; the simplex also refactorizes every
+// SimplexOptions::refactor_interval updates.
 //
-// DenseInverse is the reference implementation: the explicit m x m basis
-// inverse updated by elementary row operations. No option selects it; the
-// LP property tests reach it through SolveLpWithBasis (ilp/simplex.h) and
-// compare it with the LU on randomized and degenerate LPs.
-//
-// Both support warm starts from an arbitrary SimplexBasis: Factorize repairs
-// a structurally or numerically singular basis by replacing dependent columns
+// It supports warm starts from an arbitrary SimplexBasis: Factorize repairs a
+// structurally or numerically singular basis by replacing dependent columns
 // with the slacks of unpivoted rows (the ejected variables are reported so
-// the caller can move them to a bound).
+// the caller can move them to a bound). A dense reference BasisRep lives with
+// the tests, which run it through the seam SolveLpWithBasis (ilp/simplex.h).
 
 #ifndef RDFSR_ILP_BASIS_H_
 #define RDFSR_ILP_BASIS_H_
@@ -71,7 +78,7 @@ struct LpEngineStats {
   long long refactorizations = 0;  ///< from-scratch basis factorizations
   long long basis_repairs = 0;     ///< dependent columns replaced by slacks
   long long basis_reuses = 0;      ///< LP solves adopting a warm basis
-  int max_eta_length = 0;          ///< longest eta file between refactorizations
+  int max_eta_length = 0;          ///< most updates between refactorizations
 
   void MergeWith(const LpEngineStats& other) {
     pivots += other.pivots;
@@ -102,26 +109,26 @@ class BasisRep {
   /// v := B^-1 v. Input indexed by matrix row, output by basis position.
   virtual void Ftran(std::vector<double>* v) const = 0;
 
-  /// w := B^-1 a for a sparse column (the pivot-column hot path; the dense
-  /// representation exploits the column's sparsity directly).
+  /// w := B^-1 a for a sparse column (the pivot-column hot path). Keeps
+  /// what Update needs if this column enters the basis next.
   virtual void FtranColumn(const std::vector<std::pair<int, double>>& column,
                            std::vector<double>* w) const = 0;
 
   /// v := B^-T v. Input indexed by basis position, output by matrix row.
   virtual void Btran(std::vector<double>* v) const = 0;
 
-  /// Records the basis change at position `pos`, where `w` is the Ftran image
-  /// of the entering column. Returns false when the update is numerically
-  /// unsafe (tiny pivot / oversized eta file) — the caller must refactorize.
+  /// Records the basis change at position `pos`, where `w` is the image of
+  /// the entering column from the FtranColumn call just before. Returns false
+  /// when the update is numerically unsafe (tiny pivot, drifted factors); the
+  /// caller must then refactorize before the next solve.
   virtual bool Update(int pos, const std::vector<double>& w) = 0;
 
-  /// Current eta-file length (0 for representations without one).
+  /// Updates since the last factorization (0 for representations that do
+  /// not count them).
   virtual int eta_length() const { return 0; }
 };
 
 std::unique_ptr<BasisRep> MakeLuFactorization(int m);
-/// The dense reference basis (tests only; see the header comment).
-std::unique_ptr<BasisRep> MakeDenseInverse(int m);
 
 }  // namespace rdfsr::ilp
 

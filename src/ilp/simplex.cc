@@ -208,6 +208,7 @@ class Simplex {
       basic_[blocking_row] = entering;
       state_[entering] = BasisStatus::kBasic;
       ++stats_.pivots;
+      // w_ is still the FtranColumn image of `entering`, as Update requires.
       const bool stable = basis_->Update(blocking_row, w_);
       if (basis_->eta_length() > stats_.max_eta_length) {
         stats_.max_eta_length = basis_->eta_length();

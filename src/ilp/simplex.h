@@ -10,9 +10,9 @@
 // basic bound violations, costs recomputed each iteration), then phase 2
 // optimizes the true objective.
 //
-// The basis is a sparse LU factorization with product-form eta updates (see
+// The basis is a sparse LU factorization with Forrest–Tomlin updates (see
 // ilp/basis.h), refactorized every `refactor_interval` pivots or when an
-// update pivot is numerically unsafe. Pricing is partial Dantzig (segment
+// update is numerically unsafe. Pricing is partial Dantzig (segment
 // scan with a rotating cursor), with a Bland fallback against cycling. Basic
 // values are refreshed from the factorization periodically for numerical
 // hygiene.
@@ -60,7 +60,7 @@ struct LpResult {
 /// Solver options.
 struct SimplexOptions {
   int max_iterations = 200000;
-  /// Refactorize once the eta file reaches this length.
+  /// Refactorize after this many basis updates.
   int refactor_interval = 100;
   /// Optional warm-start basis (not owned; must outlive the solve). Ignored
   /// unless its shape matches the model; repaired if stale.
@@ -80,7 +80,7 @@ using BasisFactory = std::unique_ptr<BasisRep> (*)(int m);
 
 /// SolveLp over the basis representation `make_basis` builds. SolveLp is
 /// SolveLpWithBasis(MakeLuFactorization, ...); this seam exists so the tests
-/// can run the same pivots over the MakeDenseInverse reference.
+/// can run the same pivots over their dense reference basis.
 LpResult SolveLpWithBasis(BasisFactory make_basis, const Model& model,
                           const SimplexOptions& options = {},
                           const std::vector<double>* lower = nullptr,

@@ -13,6 +13,7 @@
 
 #include "gen/random_graph.h"
 #include "rdf/ntriples.h"
+#include "util/thread_pool.h"
 
 namespace rdfsr::rdf {
 namespace {
@@ -206,6 +207,22 @@ TEST(NTriplesTest, ShardedParseMatchesSequentialBitForBit) {
   }
 }
 
+TEST(NTriplesTest, EffectiveParseThreadsCapsAtHardwareThreads) {
+  // Pure arithmetic: no parse runs and no thread starts.
+  const int hardware = util::ThreadPool::ResolveThreads(0);
+  ParseOptions options;
+  options.threads = 64;
+  const std::size_t one_gib = std::size_t{1} << 30;
+  const int threads = EffectiveParseThreads(options, one_gib);
+  EXPECT_GE(threads, 1);
+  EXPECT_LE(threads, hardware);
+  EXPECT_EQ(threads, std::min(64, hardware));  // 1 GiB fills every chunk
+  options.threads = 0;  // auto
+  EXPECT_EQ(EffectiveParseThreads(options, one_gib), hardware);
+  options.threads = 1;
+  EXPECT_EQ(EffectiveParseThreads(options, one_gib), 1);
+}
+
 TEST(NTriplesTest, ShardedParseHandlesChunkBoundaryLines) {
   // With min_chunk_bytes = 1 and many threads, chunk boundaries land inside
   // the line stream; every split must snap to a line boundary so no triple is
@@ -261,8 +278,8 @@ TEST(NTriplesTest, ShardedParseReportsEarliestError) {
 }
 
 TEST(NTriplesTest, RandomGraphsIdenticalAcrossThreadCounts) {
-  // The contract is bit-identity for *any* thread count, including counts
-  // above the hardware concurrency. Random generator graphs exercise the
+  // The contract is bit-identity for *any* thread count (counts above the
+  // hardware concurrency are capped to it). Random generator graphs exercise the
   // messy shapes (blank nodes, duplicate triples, literals with datatypes)
   // that the ManyLines tests above do not.
   for (const std::uint64_t seed : {2u, 9u, 31u}) {

@@ -1,6 +1,6 @@
-// Sparse-basis simplex tests: the LU factorization + eta-file engine against
-// the dense-inverse reference (reached through SolveLpWithBasis) on
-// randomized bounded-variable LPs and degenerate/cycling fixtures under the
+// Sparse-basis simplex tests: the LU factorization with Forrest–Tomlin
+// updates against the dense-inverse reference (tests/support, reached
+// through SolveLpWithBasis) on randomized bounded-variable LPs and degenerate/cycling fixtures under the
 // Bland fallback, warm starts, and refactorization stats.
 
 #include <gtest/gtest.h>
@@ -10,17 +10,26 @@
 #include <vector>
 
 #include "ilp/simplex.h"
+#include "support/dense_inverse.h"
 
 namespace rdfsr::ilp {
 namespace {
 
 constexpr double kObjTol = 1e-6;
 
+/// Variable and row count ranges of a random LP.
+struct LpShape {
+  int min_vars, max_vars, min_rows, max_rows;
+};
+constexpr LpShape kSmallLp = {3, 9, 2, 7};
+/// Large enough that one solve runs through many basis updates.
+constexpr LpShape kMediumLp = {60, 160, 40, 120};
+
 // A random bounded-variable LP: mixed bound patterns (two-sided, one-sided,
 // free), mixed row types (<=, >=, ==, two-sided range), sparse rows.
-Model RandomLp(std::mt19937_64* rng) {
-  std::uniform_int_distribution<int> n_dist(3, 9);
-  std::uniform_int_distribution<int> m_dist(2, 7);
+Model RandomLp(std::mt19937_64* rng, const LpShape& shape = kSmallLp) {
+  std::uniform_int_distribution<int> n_dist(shape.min_vars, shape.max_vars);
+  std::uniform_int_distribution<int> m_dist(shape.min_rows, shape.max_rows);
   std::uniform_real_distribution<double> coef(-3.0, 3.0);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
 
@@ -94,6 +103,23 @@ TEST(SimplexSparseTest, RandomizedLpsMatchDenseInverseOracle) {
       EXPECT_NEAR(lu.objective, dense.objective, kObjTol) << "trial " << trial;
     }
   }
+  // 40-120 rows: the LU solves these through many Forrest–Tomlin updates.
+  long long pivots = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const Model m = RandomLp(&rng, kMediumLp);
+    const LpResult lu = SolveLp(m);
+    const LpResult dense = SolveLpWithBasis(MakeDenseInverse, m);
+    ASSERT_EQ(lu.status, dense.status)
+        << "medium trial " << trial << ": LU " << LpStatusName(lu.status)
+        << " vs dense " << LpStatusName(dense.status);
+    if (lu.status == LpStatus::kOptimal) {
+      EXPECT_NEAR(lu.objective, dense.objective,
+                  kObjTol * (1.0 + std::abs(dense.objective)))
+          << "medium trial " << trial;
+    }
+    pivots += lu.stats.pivots;
+  }
+  EXPECT_GT(pivots, 1000);
 }
 
 TEST(SimplexSparseTest, WarmStartFromOwnOptimumNeedsNoPivots) {
