@@ -181,6 +181,11 @@ Status MipLimitStatus(const ilp::MipResult& mip, const ilp::MipOptions& mip_opti
 }  // namespace
 
 DecisionResult RefinementSolver::Exists(int k, Rational theta) {
+  return Decide(k, theta, /*chain_basis=*/true);
+}
+
+DecisionResult RefinementSolver::Decide(int k, Rational theta,
+                                        bool chain_basis) {
   WallTimer timer;
   DecisionResult result;
   const schema::SignatureIndex& index = Eval().index();
@@ -312,7 +317,7 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
   // the same k (a Reweight step keeps the variable space). A mismatched shape
   // — presolve reductions can differ between thetas — is rejected inside the
   // MIP and simply falls back to a cold start.
-  if (warm_basis_k_ == k && !warm_basis_.empty()) {
+  if (chain_basis && ChainsBasis(k)) {
     mip_options.warm_basis = &warm_basis_;
   }
   ilp::MipResult mip = ilp::SolveMip(instance.model(), mip_options);
@@ -351,6 +356,19 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
   return result;
 }
 
+void RefinementSolver::ColdWitness(int k, Rational theta,
+                                   SortRefinement* refinement,
+                                   long long* mip_nodes,
+                                   ilp::LpEngineStats* lp_stats) {
+  DecisionResult cold = Decide(k, theta, /*chain_basis=*/false);
+  *mip_nodes += cold.mip_nodes;
+  lp_stats->MergeWith(cold.lp_stats);
+  // A deadline trip leaves the chained witness, which is still valid.
+  if (cold.decision == Decision::kExists) {
+    *refinement = std::move(*cold.refinement);
+  }
+}
+
 HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
   WallTimer timer;
   HighestThetaResult best;
@@ -377,6 +395,8 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
   }
 
   const util::CancellationToken token = options_.deadline.token();
+  // The incumbent came from a MIP seeded with the chained basis.
+  bool witness_chained = false;
   // An instance left undecided because the token tripped mid-solve.
   const auto deadline_cut = [](const DecisionResult& r) {
     return r.decision == Decision::kUnknown &&
@@ -396,6 +416,7 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
         break;
       }
       const Rational theta = grid.Theta(g);
+      const bool chained = ChainsBasis(k);
       DecisionResult r = Exists(k, theta);
       ++best.instances;
       best.mip_nodes += r.mip_nodes;
@@ -403,6 +424,7 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
       if (r.decision == Decision::kExists) {
         best.theta = theta;
         best.refinement = std::move(*r.refinement);
+        witness_chained = chained && r.mip_nodes > 0;
         // Reaching the endpoint (theta = 1) proves the ceiling: no threshold
         // above 1 is satisfiable.
         if (g == grid.last) best.ceiling_proven = true;
@@ -411,6 +433,10 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
       best.ceiling_proven = (r.decision == Decision::kNotExists);
       if (deadline_cut(r)) best.timed_out = true;
       break;
+    }
+    if (witness_chained) {
+      ColdWitness(k, best.theta, &best.refinement, &best.mip_nodes,
+                  &best.lp_stats);
     }
     best.seconds = timer.Seconds();
     return best;
@@ -430,6 +456,7 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
     }
     const std::int64_t mid = lo + (hi - lo + 1) / 2;
     const Rational theta = grid.Theta(mid);
+    const bool chained = ChainsBasis(k);
     DecisionResult r = Exists(k, theta);
     ++best.instances;
     best.mip_nodes += r.mip_nodes;
@@ -437,6 +464,7 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
     if (r.decision == Decision::kExists) {
       best.theta = theta;
       best.refinement = std::move(*r.refinement);
+      witness_chained = chained && r.mip_nodes > 0;
       lo = mid;
     } else {
       if (r.decision != Decision::kNotExists) best.ceiling_proven = false;
@@ -448,6 +476,10 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
       }
       hi = mid - 1;
     }
+  }
+  if (witness_chained) {
+    ColdWitness(k, best.theta, &best.refinement, &best.mip_nodes,
+                &best.lp_stats);
   }
   best.seconds = timer.Seconds();
   return best;
@@ -471,6 +503,7 @@ Result<LowestKResult> RefinementSolver::FindLowestK(Rational theta, int max_k) {
       deadline_hit = true;
       break;
     }
+    const bool chained = ChainsBasis(k);
     DecisionResult r = Exists(k, theta);
     ++out.instances;
     out.mip_nodes += r.mip_nodes;
@@ -478,6 +511,10 @@ Result<LowestKResult> RefinementSolver::FindLowestK(Rational theta, int max_k) {
     if (r.decision == Decision::kExists) {
       out.k = k;
       out.refinement = std::move(*r.refinement);
+      if (chained && r.mip_nodes > 0) {
+        ColdWitness(k, theta, &out.refinement, &out.mip_nodes,
+                    &out.lp_stats);
+      }
       out.timed_out = deadline_hit;
       out.seconds = timer.Seconds();
       return out;

@@ -182,7 +182,9 @@ class RefinementSolver {
   /// validated exactly before being reported.
   DecisionResult Exists(int k, Rational theta);
 
-  /// Highest theta with a k-sort refinement (sequential search).
+  /// Highest theta with a k-sort refinement (sequential search). The
+  /// witness does not depend on what this solver decided before: it is the
+  /// one a fresh solver finds for the same instance (see ColdWitness).
   HighestThetaResult FindHighestTheta(int k);
 
   /// Smallest k admitting a refinement with threshold theta; searches k
@@ -191,7 +193,8 @@ class RefinementSolver {
   /// was PROVEN infeasible; ResourceExhausted means at least one instance hit
   /// solver limits (kUnknown), so a refinement may still exist. Both carry
   /// the instance count and elapsed seconds in the message. A deadline trip
-  /// mid-sweep fails with kDeadlineExceeded / kCancelled instead.
+  /// mid-sweep fails with kDeadlineExceeded / kCancelled instead. The
+  /// witness is a fresh solver's, as in FindHighestTheta.
   Result<LowestKResult> FindLowestK(Rational theta, int max_k = -1);
 
   /// Re-arms the wall-clock budget for subsequent queries without touching
@@ -214,6 +217,22 @@ class RefinementSolver {
   /// The evaluator heuristics and validation consult: a memo over
   /// `evaluator_` shared by every search this solver runs.
   const eval::Evaluator& Eval() const { return cached_; }
+
+  /// Exists, with the root LP seeded from the warm-start chain only when
+  /// `chain_basis` is set.
+  DecisionResult Decide(int k, Rational theta, bool chain_basis);
+  /// Whether an exact solve for k would start from the chained basis.
+  bool ChainsBasis(int k) const {
+    return warm_basis_k_ == k && !warm_basis_.empty();
+  }
+  /// A search's answer instance (k, theta), decided kExists by a MIP that
+  /// started from the chained basis: its witness depends on which instances
+  /// this solver decided before, because a zero-objective MIP stops at the
+  /// first integral point. Re-decides the instance from a cold root LP and,
+  /// when that succeeds, replaces *refinement with the witness a fresh solver
+  /// finds; the work is added to the search's statistics.
+  void ColdWitness(int k, Rational theta, SortRefinement* refinement,
+                   long long* mip_nodes, ilp::LpEngineStats* lp_stats);
 
   const std::vector<eval::TauCount>& TauCounts();
   /// Theta-independent tau link analysis, shared by every encoding.

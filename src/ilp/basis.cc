@@ -109,10 +109,10 @@ class LuFactorization final : public BasisRep {
   mutable std::vector<Entry> spike_;
   mutable bool spike_valid_ = false;
 
-  // Scratch, all-zero between calls: mark_ flags slots (FactorColumn's reach,
-  // Update's heap), rho_ accumulates by slot in Update.
+  // Scratch, all-zero between calls: mark_ flags slots in FactorColumn's
+  // reach, rho_ accumulates by slot in Update.
   std::vector<char> mark_;
-  std::vector<int> reach_, stack_, heap_;
+  std::vector<int> reach_, stack_;
   std::vector<double> rho_;
   mutable std::vector<double> scratch_;
 };
@@ -388,37 +388,19 @@ bool LuFactorization::Update(int pos, const std::vector<double>& w) {
 
   // Forrest–Tomlin: the spike replaces U's column sp, and sp moves to the end
   // of U's order. Row sp then has entries left of its diagonal, which one row
-  // eta eliminates with the rows after it, visited in rank order (a heap over
-  // the rows the elimination fills). Nothing is stored before the new
-  // diagonal passes its check.
-  const auto later = [this](int a, int b) { return rank_[a] > rank_[b]; };
-  std::vector<int>& heap = heap_;  // slots by rank, min first
-  heap.clear();
-  for (const Entry& e : u_rows_[sp]) {
-    rho_[e.idx] = e.val;
-    mark_[e.idx] = 1;
-    heap.push_back(e.idx);
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
+  // eta eliminates with the rows after it, visited in U's order (the same
+  // O(m - rank) walk the reordering below makes). Nothing is stored before
+  // the new diagonal passes its check.
+  for (const Entry& e : u_rows_[sp]) rho_[e.idx] = e.val;
   const std::size_t eta_begin = r_entries_.size();
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const int j = heap.back();
-    heap.pop_back();
+  for (int i = rank_[sp] + 1; i < m_; ++i) {
+    const int j = order_[i];
     const double val = rho_[j];
-    rho_[j] = 0.0;
-    mark_[j] = 0;
+    rho_[j] = 0.0;  // also clears a -0.0 left by cancellation
     if (val == 0.0) continue;
     const double r = val / u_diag_[j];
     r_entries_.push_back({pivot_row_[j], r});
-    for (const Entry& e : u_rows_[j]) {
-      if (mark_[e.idx] == 0) {
-        mark_[e.idx] = 1;
-        heap.push_back(e.idx);
-        std::push_heap(heap.begin(), heap.end(), later);
-      }
-      rho_[e.idx] -= r * e.val;
-    }
+    for (const Entry& e : u_rows_[j]) rho_[e.idx] -= r * e.val;
   }
 
   // The new diagonal: the spike's sp entry after the row eta.

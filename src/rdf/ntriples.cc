@@ -464,9 +464,13 @@ Status ParseShardedInto(std::string_view text, Graph* graph, int threads,
 }  // namespace
 
 int EffectiveParseThreads(const ParseOptions& options, std::size_t input_bytes) {
-  // More lanes than hardware threads only add shards to merge.
-  int threads = std::min(util::ThreadPool::ResolveThreads(options.threads),
-                         util::ThreadPool::ResolveThreads(0));
+  int threads = util::ThreadPool::ResolveThreads(options.threads);
+  // Threads the reader starts itself stop at the hardware count: more only
+  // add shards to merge. A borrowed pool bounds the lanes instead, and its
+  // chunks beyond the lane count queue as tasks.
+  if (options.pool == nullptr) {
+    threads = std::min(threads, util::ThreadPool::ResolveThreads(0));
+  }
   if (threads > 1 && options.min_chunk_bytes > 0) {
     const std::size_t max_useful = input_bytes / options.min_chunk_bytes;
     if (static_cast<std::size_t>(threads) > max_useful) {

@@ -43,10 +43,12 @@ struct ParseDiagnostic {
 /// Knobs for the N-Triples reader.
 struct ParseOptions {
   /// Number of parser threads. 1 parses sequentially; values < 1 mean one
-  /// thread per hardware thread, and larger values are capped there.
-  /// Sharded parsing produces the same graph (same term ids, same triple
-  /// order) as sequential, so this is a pure throughput knob. The count
-  /// actually used is EffectiveParseThreads().
+  /// thread per hardware thread, and larger values are capped there. With a
+  /// borrowed `pool` it is the number of chunks (shards) instead, run on the
+  /// pool's lanes, and no hardware cap applies. Sharded parsing produces the
+  /// same graph (same term ids, same triple order) as sequential, so this is
+  /// a pure throughput knob. The count actually used is
+  /// EffectiveParseThreads().
   int threads = 1;
   /// Inputs shorter than threads * min_chunk_bytes parse on fewer threads
   /// (each chunk keeps at least this many bytes) — thread startup would
@@ -75,10 +77,11 @@ struct ParseOptions {
   util::CancellationToken cancel;
 };
 
-/// The thread count the reader will actually use for `input_bytes` of text:
-/// `options.threads` with < 1 resolved to the hardware concurrency, capped at
-/// the hardware concurrency, then capped so every chunk keeps at least
-/// `options.min_chunk_bytes` bytes. Pure: starts no thread.
+/// The thread (and chunk) count the reader will actually use for
+/// `input_bytes` of text: `options.threads` with < 1 resolved to the hardware
+/// concurrency, capped at the hardware concurrency unless `options.pool` is
+/// set, then capped so every chunk keeps at least `options.min_chunk_bytes`
+/// bytes. Pure: starts no thread.
 int EffectiveParseThreads(const ParseOptions& options, std::size_t input_bytes);
 
 /// Parses N-Triples text into a fresh graph.

@@ -1,7 +1,8 @@
 // The sparse LU driven directly through BasisRep: hundreds of Forrest–Tomlin
 // column swaps without a refactorization on a random ~300-row basis, each
 // followed by residual checks against the explicitly assembled B; repair of
-// dependent columns; and the refusal of a (near-)zero update pivot.
+// dependent columns; and the refusal of a (near-)zero update pivot and of an
+// update whose new diagonal disagrees with its pivot.
 
 #include <gtest/gtest.h>
 
@@ -113,6 +114,22 @@ std::vector<double> Dense(const std::vector<std::pair<int, double>>& column) {
   return a;
 }
 
+/// A random position among the well-conditioned pivots of w, or -1.
+int PickPosition(const std::vector<double>& w, std::mt19937_64* rng) {
+  double max_abs = 0.0;
+  for (double v : w) max_abs = std::max(max_abs, std::fabs(v));
+  std::vector<int> candidates;
+  for (int p = 0; p < kRows; ++p) {
+    if (std::fabs(w[p]) >= 0.5 * max_abs && std::fabs(w[p]) >= 0.25) {
+      candidates.push_back(p);
+    }
+  }
+  if (candidates.empty()) return -1;
+  std::uniform_int_distribution<int> pick(
+      0, static_cast<int>(candidates.size()) - 1);
+  return candidates[pick(*rng)];
+}
+
 TEST(BasisTest, HundredsOfUpdatesWithoutRefactorizationStayAccurate) {
   std::mt19937_64 rng(19880427);
   const SparseColumns cols = RandomColumns(&rng);
@@ -141,19 +158,8 @@ TEST(BasisTest, HundredsOfUpdatesWithoutRefactorizationStayAccurate) {
     ASSERT_LE(MaxAbsDiff(MultiplyB(cols, basic, w), Dense(cols[entering])),
               kResidualTol)
         << "FtranColumn residual before swap " << swaps;
-    // The leaving position: a random one among the well-conditioned pivots.
-    double max_abs = 0.0;
-    for (double v : w) max_abs = std::max(max_abs, std::fabs(v));
-    std::vector<int> candidates;
-    for (int p = 0; p < kRows; ++p) {
-      if (std::fabs(w[p]) >= 0.5 * max_abs && std::fabs(w[p]) >= 0.25) {
-        candidates.push_back(p);
-      }
-    }
-    if (candidates.empty()) continue;
-    std::uniform_int_distribution<int> pick(
-        0, static_cast<int>(candidates.size()) - 1);
-    const int pos = candidates[pick(rng)];
+    const int pos = PickPosition(w, &rng);
+    if (pos < 0) continue;
     ASSERT_TRUE(basis->Update(pos, w)) << "swap " << swaps;
     in_basis[basic[pos]] = 0;
     in_basis[entering] = 1;
@@ -253,6 +259,62 @@ TEST(BasisTest, NearZeroUpdatePivotIsRefusedAndRefactorizationRecovers) {
   const auto [fr, br] = SolveResiduals(*basis, cols, basic, &rng);
   EXPECT_LE(fr, kResidualTol);
   EXPECT_LE(br, kResidualTol);
+}
+
+TEST(BasisTest, DriftedUpdateIsRefusedAndStoresNothing) {
+  std::mt19937_64 rng(27182818);
+  const SparseColumns cols = RandomColumns(&rng);
+  std::vector<int> basic = MixedBasis(&rng);
+  std::unique_ptr<BasisRep> basis = MakeLuFactorization(kRows);
+  std::vector<int> ejected;
+  basis->Factorize(cols, kStructural, &basic, &ejected);
+  std::vector<char> in_basis(cols.size(), 0);
+  for (int j : basic) in_basis[j] = 1;
+  std::uniform_int_distribution<int> var_dist(0, kStructural + kRows - 1);
+
+  // Alternates accepted swaps with refused ones: w's pivot entry perturbed
+  // by 1e-6 relative disagrees with the spike FtranColumn kept, so the new
+  // U diagonal misses pivot x old diagonal and Update must roll back its
+  // row eta. The factors must then still be the old basis's, and later
+  // updates (which reuse the same scratch) must stay exact.
+  int swaps = 0;
+  int refused = 0;
+  std::vector<double> w;
+  for (int attempt = 0; swaps < 60; ++attempt) {
+    ASSERT_LT(attempt, 5000) << "too few acceptable pivots";
+    const int entering = var_dist(rng);
+    if (in_basis[entering] != 0) continue;
+    basis->FtranColumn(cols[entering], &w);
+    const int pos = PickPosition(w, &rng);
+    if (pos < 0) continue;
+    if (attempt % 2 == 0) {
+      std::vector<double> drifted = w;
+      drifted[pos] *= 1.0 + 1e-6;
+      EXPECT_FALSE(basis->Update(pos, drifted)) << "swap " << swaps;
+      ++refused;
+      EXPECT_EQ(basis->eta_length(), swaps);
+      const auto [fr, br] = SolveResiduals(*basis, cols, basic, &rng);
+      ASSERT_LE(fr, kResidualTol) << "Ftran residual after refusal " << refused;
+      ASSERT_LE(br, kResidualTol) << "Btran residual after refusal " << refused;
+      basis->FtranColumn(cols[entering], &w);  // Update consumed the spike
+    }
+    ASSERT_TRUE(basis->Update(pos, w)) << "swap " << swaps;
+    in_basis[basic[pos]] = 0;
+    in_basis[entering] = 1;
+    basic[pos] = entering;
+    ++swaps;
+    const auto [fr, br] = SolveResiduals(*basis, cols, basic, &rng);
+    ASSERT_LE(fr, kResidualTol) << "Ftran residual after swap " << swaps;
+    ASSERT_LE(br, kResidualTol) << "Btran residual after swap " << swaps;
+  }
+  EXPECT_GE(refused, 20);
+
+  ejected.clear();
+  basis->Factorize(cols, kStructural, &basic, &ejected);
+  EXPECT_TRUE(ejected.empty());
+  const auto [ff, bf] = SolveResiduals(*basis, cols, basic, &rng);
+  EXPECT_LE(ff, kResidualTol);
+  EXPECT_LE(bf, kResidualTol);
 }
 
 }  // namespace

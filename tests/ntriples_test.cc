@@ -48,6 +48,17 @@ void ExpectGraphsIdentical(const Graph& a, const Graph& b) {
   }
 }
 
+/// Options that split a small input into `shards` chunks run on `pool`. A
+/// borrowed pool lifts the hardware-thread cap, so the shard count does not
+/// depend on the machine; chunks beyond the pool's lanes queue as tasks.
+ParseOptions ShardedOptions(int shards, util::ThreadPool* pool) {
+  ParseOptions options;
+  options.threads = shards;
+  options.min_chunk_bytes = 1;  // force sharding on small inputs
+  options.pool = pool;
+  return options;
+}
+
 TEST(NTriplesTest, ParsesIriTriple) {
   auto g = ParseNTriples("<http://x/s> <http://x/p> <http://x/o> .\n");
   ASSERT_TRUE(g.ok()) << g.status().ToString();
@@ -195,10 +206,10 @@ TEST(NTriplesTest, ShardedParseMatchesSequentialBitForBit) {
   const std::string text = ManyLines(500);
   Graph sequential;
   ASSERT_TRUE(ParseNTriplesInto(text, &sequential).ok());
+  util::ThreadPool pool(2);
   for (int threads : {2, 3, 4, 8}) {
-    ParseOptions options;
-    options.threads = threads;
-    options.min_chunk_bytes = 1;  // force sharding on this small input
+    const ParseOptions options = ShardedOptions(threads, &pool);
+    ASSERT_EQ(EffectiveParseThreads(options, text.size()), threads);
     Graph sharded;
     ASSERT_TRUE(ParseNTriplesInto(text, &sharded, options).ok())
         << threads << " threads";
@@ -221,16 +232,22 @@ TEST(NTriplesTest, EffectiveParseThreadsCapsAtHardwareThreads) {
   EXPECT_EQ(EffectiveParseThreads(options, one_gib), hardware);
   options.threads = 1;
   EXPECT_EQ(EffectiveParseThreads(options, one_gib), 1);
+  // A borrowed pool (here one of 0 workers, which starts no thread either)
+  // bounds the lanes itself: the count is then the chunk count, uncapped.
+  util::ThreadPool inline_pool(0);
+  options.pool = &inline_pool;
+  options.threads = 64;
+  EXPECT_EQ(EffectiveParseThreads(options, one_gib), 64);
 }
 
 TEST(NTriplesTest, ShardedParseHandlesChunkBoundaryLines) {
-  // With min_chunk_bytes = 1 and many threads, chunk boundaries land inside
+  // With min_chunk_bytes = 1 and many shards, chunk boundaries land inside
   // the line stream; every split must snap to a line boundary so no triple is
   // lost or torn.
   const std::string text = ManyLines(64);
-  ParseOptions options;
-  options.threads = 16;
-  options.min_chunk_bytes = 1;
+  util::ThreadPool pool(2);
+  const ParseOptions options = ShardedOptions(16, &pool);
+  ASSERT_EQ(EffectiveParseThreads(options, text.size()), 16);
   Graph sharded;
   ASSERT_TRUE(ParseNTriplesInto(text, &sharded, options).ok());
   Graph sequential;
@@ -246,9 +263,9 @@ TEST(NTriplesTest, ShardedParseReportsGlobalErrorLine) {
       static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
   text += "this is not a triple\n";
   text += ManyLines(10);
-  ParseOptions options;
-  options.threads = 4;
-  options.min_chunk_bytes = 1;
+  util::ThreadPool pool(2);
+  const ParseOptions options = ShardedOptions(4, &pool);
+  ASSERT_EQ(EffectiveParseThreads(options, text.size()), 4);
   Graph g;
   Status st = ParseNTriplesInto(text, &g, options);
   ASSERT_FALSE(st.ok());
@@ -266,9 +283,9 @@ TEST(NTriplesTest, ShardedParseReportsEarliestError) {
   text += "bad line one\n";
   text += ManyLines(100);
   text += "bad line two\n";
-  ParseOptions options;
-  options.threads = 6;
-  options.min_chunk_bytes = 1;
+  util::ThreadPool pool(2);
+  const ParseOptions options = ShardedOptions(6, &pool);
+  ASSERT_EQ(EffectiveParseThreads(options, text.size()), 6);
   Graph g;
   Status st = ParseNTriplesInto(text, &g, options);
   ASSERT_FALSE(st.ok());
@@ -278,10 +295,11 @@ TEST(NTriplesTest, ShardedParseReportsEarliestError) {
 }
 
 TEST(NTriplesTest, RandomGraphsIdenticalAcrossThreadCounts) {
-  // The contract is bit-identity for *any* thread count (counts above the
-  // hardware concurrency are capped to it). Random generator graphs exercise the
+  // The contract is bit-identity for *any* shard count, including counts
+  // above the hardware concurrency. Random generator graphs exercise the
   // messy shapes (blank nodes, duplicate triples, literals with datatypes)
   // that the ManyLines tests above do not.
+  util::ThreadPool pool(2);
   for (const std::uint64_t seed : {2u, 9u, 31u}) {
     gen::RandomGraphSpec spec;
     spec.num_subjects = 120;
@@ -292,9 +310,8 @@ TEST(NTriplesTest, RandomGraphsIdenticalAcrossThreadCounts) {
     Graph sequential;
     ASSERT_TRUE(ParseNTriplesInto(text, &sequential).ok());
     for (const int threads : {1, 2, 8}) {
-      ParseOptions options;
-      options.threads = threads;
-      options.min_chunk_bytes = 1;  // force one chunk per thread
+      const ParseOptions options = ShardedOptions(threads, &pool);
+      ASSERT_EQ(EffectiveParseThreads(options, text.size()), threads);
       Graph parsed;
       ASSERT_TRUE(ParseNTriplesInto(text, &parsed, options).ok())
           << "seed " << seed << " threads " << threads;
@@ -320,9 +337,9 @@ TEST(NTriplesTest, ParseFileWithThreadsMatchesSequential) {
   }
   auto sequential = ParseNTriplesFile(path);
   ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-  ParseOptions options;
-  options.threads = 4;
-  options.min_chunk_bytes = 1;
+  util::ThreadPool pool(2);
+  const ParseOptions options = ShardedOptions(4, &pool);
+  ASSERT_EQ(EffectiveParseThreads(options, text.size()), 4);
   auto sharded = ParseNTriplesFile(path, options);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   ExpectGraphsIdentical(*sharded, *sequential);
@@ -406,10 +423,10 @@ TEST(NTriplesTest, TolerantShardedParseMatchesSequentialWithGlobalLines) {
   Graph expected;
   ASSERT_TRUE(ParseNTriplesInto(clean, &expected).ok());
 
+  util::ThreadPool pool(2);
   for (const int threads : {2, 4, 8}) {
-    ParseOptions options;
-    options.threads = threads;
-    options.min_chunk_bytes = 1;  // force sharding on this small input
+    ParseOptions options = ShardedOptions(threads, &pool);
+    ASSERT_EQ(EffectiveParseThreads(options, dirty.size()), threads);
     options.max_errors = bad_lines.size();
     std::vector<ParseDiagnostic> diags;
     options.diagnostics = &diags;
@@ -431,9 +448,9 @@ TEST(NTriplesTest, TolerantShardedParseFailsPastBudget) {
   const std::string clean = ManyLines(200);
   std::vector<std::size_t> bad_lines;
   const std::string dirty = Dirty(clean, 11, &bad_lines);
-  ParseOptions options;
-  options.threads = 4;
-  options.min_chunk_bytes = 1;
+  util::ThreadPool pool(2);
+  ParseOptions options = ShardedOptions(4, &pool);
+  ASSERT_EQ(EffectiveParseThreads(options, dirty.size()), 4);
   options.max_errors = 3;
   Graph g;
   Status st = ParseNTriplesInto(dirty, &g, options);

@@ -5,9 +5,10 @@
     python3 tools/bench/snapshot.py --out BENCH_15.json --checkout ../parent
 
 Runs perfbench/run.py (of --checkout, default: this checkout) for every
-workload in BENCHMARK.json, at its run_seconds: once per seed with
+workload in BENCHMARK.json, at its run_seconds: once per seed in SEEDS with
 --trace 0 (the end-to-end metrics), then once with --trace 1 at the first
-seed (the per-layer metrics). Each run's result line and `facts` line (machine, compiler,
+seed (the per-layer metrics). Snapshots compare only at the same seeds, so
+the seeds are fixed. Each run's result line and `facts` line (machine, compiler,
 inputs) go into the output file, in run order. Compare two files with
 tools/bench/compare.py.
 """
@@ -20,6 +21,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
+SEEDS = (1, 2)
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -46,8 +48,6 @@ def main():
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--checkout", default=ROOT,
                         help="checkout whose perfbench runs (default: this one)")
-    parser.add_argument("--seeds", default="1,2",
-                        help="comma-separated seeds of the --trace 0 runs")
     parser.add_argument("--commit", default=None,
                         help="commit to record (default: the checkout's HEAD)")
     args = parser.parse_args()
@@ -57,7 +57,6 @@ def main():
         benchmark = json.load(f)
     seconds = benchmark["run_seconds"]
     workloads = [w["name"] for w in benchmark["workloads"]]
-    seeds = [int(s) for s in args.seeds.split(",") if s]
 
     commit = args.commit or subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=checkout, stdout=subprocess.PIPE,
@@ -65,7 +64,7 @@ def main():
     runs = []
     ok = True
     for workload in workloads:
-        plan = [(seed, 0) for seed in seeds] + [(seeds[0], 1)]
+        plan = [(seed, 0) for seed in SEEDS] + [(SEEDS[0], 1)]
         for seed, trace in plan:
             entry = run_once(checkout, workload, seed, seconds, trace)
             result = entry["result"]
@@ -77,7 +76,7 @@ def main():
                 file=sys.stderr)
             runs.append(entry)
 
-    snapshot = {"commit": commit, "seconds": seconds, "seeds": seeds,
+    snapshot = {"commit": commit, "seconds": seconds, "seeds": list(SEEDS),
                 "runs": runs}
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(snapshot, f, indent=1, sort_keys=True)
