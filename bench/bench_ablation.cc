@@ -1,7 +1,6 @@
-// Ablations over the Section 7 search strategies: greedy-first vs pure MIP,
-// and the paper's sequential theta scan vs bisection. Both sides of each pair
-// answer the same highest-theta query; we report the theta found, instance
-// counts, and wall time.
+// Ablation over the Section 7 search strategy: greedy-first vs pure MIP.
+// Both sides answer the same highest-theta query; we report the theta found
+// and wall time.
 
 #include <iostream>
 
@@ -12,9 +11,8 @@
 int main(int argc, char** argv) {
   using namespace rdfsr;  // NOLINT(build/namespaces)
   bench::InitHarness(argc, argv, "ablation");
-  bench::Banner("Ablation: search strategies on a DBpedia-Persons instance",
-                "Section 7 search; both sides of each pair must find the "
-                "same theta");
+  bench::Banner("Ablation: search strategy on a DBpedia-Persons instance",
+                "Section 7 search; both sides must find the same theta");
 
   gen::PersonsConfig config;
   config.num_subjects = 600;  // small instance so every search terminates
@@ -41,29 +39,5 @@ int main(int argc, char** argv) {
   }
   std::cout << table.ToString();
 
-  // Sequential (paper) vs bisection theta search. The paper prefers the
-  // sequential scan: "it has proven to be much slower to find an instance
-  // infeasible than to find a solution to a feasible instance", and
-  // bisection probes more infeasible instances.
-  std::cout << "\n--- sequential (paper) vs bisection theta search ---\n";
-  TextTable search_table({"strategy", "theta found", "instances", "seconds"});
-  for (bool binary : {false, true}) {
-    core::SolverOptions options = bench::BenchSolverOptions();
-    options.binary_theta_search = binary;
-    core::RefinementSolver solver(cov.get(), options);
-    WallTimer timer;
-    const core::HighestThetaResult best = solver.FindHighestTheta(2);
-    bench::Json().Record(
-        "theta_search",
-        {{"strategy", binary ? "bisection" : "sequential"}, {"k", "2"}},
-        timer.Seconds(),
-        {{"theta", best.theta.ToDouble()},
-         {"instances", static_cast<double>(best.instances)}});
-    search_table.AddRow({binary ? "bisection" : "sequential (paper)",
-                         FormatDouble(best.theta.ToDouble()),
-                         std::to_string(best.instances),
-                         FormatDouble(timer.Seconds(), 2)});
-  }
-  std::cout << search_table.ToString();
   return 0;
 }

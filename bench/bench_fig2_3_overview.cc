@@ -5,7 +5,7 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "eval/closed_form.h"
+#include "eval/evaluator.h"
 #include "gen/persons.h"
 #include "gen/wordnet.h"
 #include "schema/ascii_view.h"
@@ -18,10 +18,9 @@ void Overview(const std::string& name, const schema::SignatureIndex& index,
               const std::string& paper_line) {
   std::cout << "\n--- " << name << " ---\n";
   std::cout << "paper:    " << paper_line << "\n";
-  const std::vector<int> all = eval::AllSignatures(index);
   WallTimer timer;
-  const double sigma_cov = eval::CovCounts(index, all).Value();
-  const double sigma_sim = eval::SimCounts(index, all).Value();
+  const double sigma_cov = eval::ClosedFormEvaluator::Cov(&index)->SigmaAll();
+  const double sigma_sim = eval::ClosedFormEvaluator::Sim(&index)->SigmaAll();
   bench::Json().Record(
       "overview", {{"dataset", name}}, timer.Seconds(),
       {{"subjects", static_cast<double>(index.total_subjects())},

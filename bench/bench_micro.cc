@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/ilp_builder.h"
-#include "eval/closed_form.h"
 #include "eval/counting.h"
 #include "eval/enumerator.h"
 #include "eval/evaluator.h"
@@ -26,8 +25,9 @@ const schema::SignatureIndex& PersonsIndex() {
 void BM_CovClosedForm(benchmark::State& state) {
   const auto& index = PersonsIndex();
   const std::vector<int> all = eval::AllSignatures(index);
+  const auto cov = eval::ClosedFormEvaluator::Cov(&index);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::CovCounts(index, all));
+    benchmark::DoNotOptimize(cov->Counts(all));
   }
 }
 BENCHMARK(BM_CovClosedForm);
@@ -35,8 +35,9 @@ BENCHMARK(BM_CovClosedForm);
 void BM_SimClosedForm(benchmark::State& state) {
   const auto& index = PersonsIndex();
   const std::vector<int> all = eval::AllSignatures(index);
+  const auto sim = eval::ClosedFormEvaluator::Sim(&index);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::SimCounts(index, all));
+    benchmark::DoNotOptimize(sim->Counts(all));
   }
 }
 BENCHMARK(BM_SimClosedForm);

@@ -19,8 +19,8 @@
 //               extraction, lazy best-pair heap. Merge round
 //               O(n log n + n * |P|/64); greedy trial O(|supp| + k log k).
 //   scratch     the seed implementation mirrored verbatim below: every
-//               candidate evaluation re-derives SubsetStats from the member
-//               signatures. Merge round O(n^2 * |sort| * |P|); greedy trial
+//               candidate evaluation re-derives its counts from the member
+//               signatures (Evaluator::Counts). Merge round O(n^2 * |sort| * |P|); greedy trial
 //               O(k * |sort| * |P|).
 //
 // Outputs must match exactly and the binary exits non-zero on any divergence

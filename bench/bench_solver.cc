@@ -17,9 +17,6 @@
 //                   index large enough that the MIP row ceiling gates the
 //                   exact solver — heuristic + validation reuse across the
 //                   theta grid
-//   highest_theta_bisect
-//                   the same search by bisection, which meets many more
-//                   infeasible/undecided instances
 //   highest_theta_pure_exact
 //                   greedy_first = false on a small index, so every grid
 //                   instance is settled by the MIP over the reweighted
@@ -161,11 +158,9 @@ void Report(TextTable* table, bool* ok, const std::string& config,
 }
 
 Measurement MeasureHighestTheta(const eval::Evaluator& evaluator, int k,
-                                bool greedy_first, bool bisect = false) {
+                                bool greedy_first) {
   Measurement m;
-  core::SolverOptions options = Options(greedy_first);
-  options.binary_theta_search = bisect;
-  core::RefinementSolver solver(&evaluator, options);
+  core::RefinementSolver solver(&evaluator, Options(greedy_first));
   WallTimer timer;
   const core::HighestThetaResult a = solver.FindHighestTheta(k);
   m.seconds = timer.Seconds();
@@ -306,16 +301,6 @@ int Run(int n, int exact_n, int ladder_n, int frontier_n) {
     auto evaluator = eval::MakeEvaluator(rule, &clustered);
     Report(&table, &ok, "highest_theta", rule.name(), n,
            MeasureHighestTheta(*evaluator, 4, /*greedy_first=*/true));
-  }
-  {
-    // Bisection meets many infeasible/undecided instances (the reason the
-    // paper prefers the sequential scan), and every failing instance runs
-    // the whole heuristic ladder — the regime where once-per-k greedy and
-    // fixed-k reuse pays off.
-    auto evaluator = eval::MakeEvaluator(rules::CovRule(), &clustered);
-    Report(&table, &ok, "highest_theta_bisect", "Cov", n,
-           MeasureHighestTheta(*evaluator, 4, /*greedy_first=*/true,
-                               /*bisect=*/true));
   }
   {
     // Pure exact mode: every grid instance goes to the MIP over the

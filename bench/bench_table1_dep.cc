@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "eval/closed_form.h"
+#include "eval/evaluator.h"
 #include "gen/persons.h"
 #include "util/timer.h"
 
@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   gen::PersonsConfig config;
   config.num_subjects = 50000;  // large sample for tight conditionals
   const schema::SignatureIndex index = gen::GeneratePersons(config);
-  const std::vector<int> all = eval::AllSignatures(index);
 
   const char* props[] = {"deathPlace", "birthPlace", "deathDate", "birthDate"};
   const double paper[4][4] = {{1.0, .93, .82, .77},
@@ -35,7 +34,8 @@ int main(int argc, char** argv) {
     for (int j = 0; j < 4; ++j) {
       WallTimer timer;
       const double value =
-          eval::DepCounts(index, all, props[i], props[j]).Value();
+          eval::ClosedFormEvaluator::Dep(&index, props[i], props[j])
+              ->SigmaAll();
       bench::Json().Record(
           "dep", {{"p1", props[i]}, {"p2", props[j]}}, timer.Seconds(),
           {{"sigma", value}, {"paper", paper[i][j]}});

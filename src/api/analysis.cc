@@ -82,7 +82,20 @@ Analysis& Analysis::Seed(std::uint64_t seed) {
 
 double Analysis::Sigma() const { return evaluator_->SigmaAll(); }
 
-double Analysis::Sigma(const std::vector<int>& sort) const {
+Result<double> Analysis::Sigma(const std::vector<int>& sort) const {
+  std::vector<bool> seen(rep_->index.num_signatures(), false);
+  for (int id : sort) {
+    if (id < 0 || static_cast<std::size_t>(id) >= seen.size()) {
+      return Status::InvalidArgument(
+          "signature id " + std::to_string(id) + " out of range [0, " +
+          std::to_string(seen.size()) + ")");
+    }
+    if (seen[static_cast<std::size_t>(id)]) {
+      return Status::InvalidArgument("signature id " + std::to_string(id) +
+                                     " repeated");
+    }
+    seen[static_cast<std::size_t>(id)] = true;
+  }
   return evaluator_->Sigma(sort);
 }
 

@@ -250,8 +250,9 @@ class Analysis {
   // --- queries -------------------------------------------------------------
   /// sigma_r over the whole dataset.
   double Sigma() const;
-  /// sigma_r over one implicit sort (signature ids of the dataset).
-  double Sigma(const std::vector<int>& sort) const;
+  /// sigma_r over one implicit sort (signature ids of the dataset). Fails
+  /// with InvalidArgument on a negative, out-of-range or repeated id.
+  Result<double> Sigma(const std::vector<int>& sort) const;
 
   /// Best threshold achievable with k implicit sorts (the paper's
   /// highest-theta search). Fails with InvalidArgument when k < 1.

@@ -35,7 +35,7 @@ SortRefinement ToRefinement(const std::vector<std::vector<int>>& slots) {
 // values. That turns a placement step from O(k^2 * |sort| * |P|) (the old
 // Score() re-derived every slot's sigma from its member signatures for every
 // trial) into O(k * (|supp| + k log k)). The sigma doubles come from the same
-// exact integer counts as the scratch path, so scores — and therefore every
+// exact integer counts as that re-derivation, so scores — and therefore every
 // placement and move decision — are bit-identical to the pre-incremental
 // implementation.
 SortRefinement GreedyMaxMinSigma(const eval::Evaluator& evaluator, int k,
@@ -205,14 +205,6 @@ SortRefinement GreedyMaxMinSigma(const eval::Evaluator& evaluator, int k,
   }
 
   return ToRefinement(best_slots);
-}
-
-std::optional<SortRefinement> GreedyFindRefinement(
-    const eval::Evaluator& evaluator, int k, Rational theta,
-    const GreedyOptions& options) {
-  SortRefinement candidate = GreedyMaxMinSigma(evaluator, k, options);
-  if (ValidateRefinement(evaluator, candidate, theta).ok()) return candidate;
-  return std::nullopt;
 }
 
 namespace {

@@ -17,13 +17,12 @@
 // O(n^2 * |sort| * |P|) to O(n log n + n * |P|/64) via a lazy best-pair
 // priority queue (bench/bench_refine.cc measures both against the scratch
 // baselines). Outputs are bit-identical to scratch evaluation: the stats
-// carry the same exact integer counts the scratch closed forms compute.
+// carry the same exact integer counts as Evaluator::Counts over the members.
 
 #ifndef RDFSR_CORE_GREEDY_H_
 #define RDFSR_CORE_GREEDY_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "core/refinement.h"
 #include "eval/evaluator.h"
@@ -49,12 +48,6 @@ struct GreedyOptions {
 /// below any particular threshold.
 SortRefinement GreedyMaxMinSigma(const eval::Evaluator& evaluator, int k,
                                  const GreedyOptions& options = {});
-
-/// Convenience: runs GreedyMaxMinSigma and keeps the result only when it
-/// meets theta exactly (validated).
-std::optional<SortRefinement> GreedyFindRefinement(
-    const eval::Evaluator& evaluator, int k, Rational theta,
-    const GreedyOptions& options = {});
 
 /// Bottom-up merge heuristic for the lowest-k problem: start with every
 /// signature set in its own implicit sort (for the builtin rule families a

@@ -76,7 +76,7 @@ std::vector<eval::SigmaCounts> SortCounts(const eval::Evaluator& evaluator,
   std::vector<eval::SigmaCounts> counts;
   counts.reserve(refinement.sorts.size());
   for (const std::vector<int>& sort : refinement.sorts) {
-    counts.push_back(evaluator.CountsViaStats(sort));
+    counts.push_back(evaluator.Counts(sort));
   }
   return counts;
 }

@@ -404,58 +404,17 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
             r.limit.code() == StatusCode::kCancelled);
   };
 
-  if (!options_.binary_theta_search) {
-    // Sequential search upward on the grid (paper Section 7: preferred over
-    // bisection because infeasible instances are far slower than feasible
-    // ones, and the sequential scan meets exactly one infeasible instance).
-    for (std::int64_t g = grid.first; g <= grid.last; ++g) {
-      // Anytime early-out: keep the incumbent (at worst the sigma_all
-      // baseline) and mark the scan as cut, never as a proven ceiling.
-      if (token.stop_requested()) {
-        best.timed_out = true;
-        break;
-      }
-      const Rational theta = grid.Theta(g);
-      const bool chained = ChainsBasis(k);
-      DecisionResult r = Exists(k, theta);
-      ++best.instances;
-      best.mip_nodes += r.mip_nodes;
-      best.lp_stats.MergeWith(r.lp_stats);
-      if (r.decision == Decision::kExists) {
-        best.theta = theta;
-        best.refinement = std::move(*r.refinement);
-        witness_chained = chained && r.mip_nodes > 0;
-        // Reaching the endpoint (theta = 1) proves the ceiling: no threshold
-        // above 1 is satisfiable.
-        if (g == grid.last) best.ceiling_proven = true;
-        continue;
-      }
-      best.ceiling_proven = (r.decision == Decision::kNotExists);
-      if (deadline_cut(r)) best.timed_out = true;
-      break;
-    }
-    if (witness_chained) {
-      ColdWitness(k, best.theta, &best.refinement, &best.mip_nodes,
-                  &best.lp_stats);
-    }
-    best.seconds = timer.Seconds();
-    return best;
-  }
-
-  // Bisection on the grid. Invariant: everything at or below `lo` is known
-  // feasible (or is the sigma_all baseline); everything above `hi` is known
-  // infeasible or unknown.
-  std::int64_t lo = grid.first - 1;  // baseline (sigma_all)
-  std::int64_t hi = grid.last;
-  best.ceiling_proven = true;
-  while (lo < hi) {
+  // Sequential search upward on the grid (paper Section 7: preferred over
+  // bisection because infeasible instances are far slower than feasible
+  // ones, and the sequential scan meets exactly one infeasible instance).
+  for (std::int64_t g = grid.first; g <= grid.last; ++g) {
+    // Anytime early-out: keep the incumbent (at worst the sigma_all
+    // baseline) and mark the scan as cut, never as a proven ceiling.
     if (token.stop_requested()) {
       best.timed_out = true;
-      best.ceiling_proven = false;
       break;
     }
-    const std::int64_t mid = lo + (hi - lo + 1) / 2;
-    const Rational theta = grid.Theta(mid);
+    const Rational theta = grid.Theta(g);
     const bool chained = ChainsBasis(k);
     DecisionResult r = Exists(k, theta);
     ++best.instances;
@@ -465,17 +424,14 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
       best.theta = theta;
       best.refinement = std::move(*r.refinement);
       witness_chained = chained && r.mip_nodes > 0;
-      lo = mid;
-    } else {
-      if (r.decision != Decision::kNotExists) best.ceiling_proven = false;
-      if (deadline_cut(r)) {
-        // Every remaining probe would return the same tripped-token kUnknown;
-        // stop narrowing and report the incumbent.
-        best.timed_out = true;
-        break;
-      }
-      hi = mid - 1;
+      // Reaching the endpoint (theta = 1) proves the ceiling: no threshold
+      // above 1 is satisfiable.
+      if (g == grid.last) best.ceiling_proven = true;
+      continue;
     }
+    best.ceiling_proven = (r.decision == Decision::kNotExists);
+    if (deadline_cut(r)) best.timed_out = true;
+    break;
   }
   if (witness_chained) {
     ColdWitness(k, best.theta, &best.refinement, &best.mip_nodes,

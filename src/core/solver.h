@@ -85,12 +85,6 @@ struct SolverOptions {
   /// would otherwise collapse to a zero rational and divide the grid
   /// derivation by zero).
   double theta_step = 0.01;
-  /// Use bisection instead of the paper's sequential scan in
-  /// FindHighestTheta. The paper prefers sequential search because "it has
-  /// proven to be much slower to find an instance infeasible than to find a
-  /// solution to a feasible instance" — bisection front-loads infeasible
-  /// instances. Kept as an option for the ablation bench.
-  bool binary_theta_search = false;
   /// Skip the exact MIP when the encoding exceeds this many rows; the
   /// instance then resolves to kUnknown unless the heuristic found a witness.
   /// The ceiling is a time guard, not a memory one, and it bounds the ROOT

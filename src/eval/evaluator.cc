@@ -16,30 +16,21 @@ SigmaCounts GenericEvaluator::Counts(const std::vector<int>& sig_ids) const {
   return EvaluateRuleOnIndex(rule_, sub);
 }
 
-SigmaCounts Evaluator::CountsViaStats(const std::vector<int>& sig_ids) const {
-  SortStats stats = MakeStats();
-  for (int sig : sig_ids) stats.Add(sig);
-  return CountsFromStats(stats);
-}
-
-ClosedFormEvaluator::ClosedFormEvaluator(Kind kind, rules::Rule rule,
-                                         const schema::SignatureIndex* index,
-                                         std::vector<std::string> params)
-    : kind_(kind),
-      rule_(std::move(rule)),
-      index_(index),
-      params_(std::move(params)) {
+ClosedFormEvaluator::ClosedFormEvaluator(
+    Kind kind, rules::Rule rule, const schema::SignatureIndex* index,
+    const std::vector<std::string>& params)
+    : kind_(kind), rule_(std::move(rule)), index_(index) {
   RDFSR_CHECK(index_ != nullptr);
   switch (kind_) {
     case Kind::kDep:
     case Kind::kSymDep:
     case Kind::kDepDisj:
-      dep_id1_ = index_->FindProperty(params_[0]);
-      dep_id2_ = index_->FindProperty(params_[1]);
+      dep_id1_ = index_->FindProperty(params[0]);
+      dep_id2_ = index_->FindProperty(params[1]);
       break;
     case Kind::kCovIgnoring:
       ignored_mask_ = schema::PropertySet(index_->num_properties());
-      for (const std::string& name : params_) {
+      for (const std::string& name : params) {
         const int p = index_->FindProperty(name);
         if (p >= 0) ignored_mask_.Insert(static_cast<std::size_t>(p));
       }
@@ -82,7 +73,7 @@ std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::CovIgnoring(
     const schema::SignatureIndex* index, std::vector<std::string> ignored) {
   rules::Rule rule = rules::CovRuleIgnoring(ignored);
   return std::unique_ptr<ClosedFormEvaluator>(new ClosedFormEvaluator(
-      Kind::kCovIgnoring, std::move(rule), index, std::move(ignored)));
+      Kind::kCovIgnoring, std::move(rule), index, ignored));
 }
 
 std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::Sim(
@@ -95,39 +86,27 @@ std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::Dep(
     const schema::SignatureIndex* index, std::string p1, std::string p2) {
   rules::Rule rule = rules::DepRule(p1, p2);
   return std::unique_ptr<ClosedFormEvaluator>(new ClosedFormEvaluator(
-      Kind::kDep, std::move(rule), index, {std::move(p1), std::move(p2)}));
+      Kind::kDep, std::move(rule), index, {p1, p2}));
 }
 
 std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::SymDep(
     const schema::SignatureIndex* index, std::string p1, std::string p2) {
   rules::Rule rule = rules::SymDepRule(p1, p2);
   return std::unique_ptr<ClosedFormEvaluator>(new ClosedFormEvaluator(
-      Kind::kSymDep, std::move(rule), index, {std::move(p1), std::move(p2)}));
+      Kind::kSymDep, std::move(rule), index, {p1, p2}));
 }
 
 std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::DepDisj(
     const schema::SignatureIndex* index, std::string p1, std::string p2) {
   rules::Rule rule = rules::DepDisjunctiveRule(p1, p2);
   return std::unique_ptr<ClosedFormEvaluator>(new ClosedFormEvaluator(
-      Kind::kDepDisj, std::move(rule), index, {std::move(p1), std::move(p2)}));
+      Kind::kDepDisj, std::move(rule), index, {p1, p2}));
 }
 
 SigmaCounts ClosedFormEvaluator::Counts(const std::vector<int>& sig_ids) const {
-  switch (kind_) {
-    case Kind::kCov:
-      return CovCounts(*index_, sig_ids);
-    case Kind::kCovIgnoring:
-      return CovIgnoringCounts(*index_, sig_ids, params_);
-    case Kind::kSim:
-      return SimCounts(*index_, sig_ids);
-    case Kind::kDep:
-      return DepCounts(*index_, sig_ids, params_[0], params_[1]);
-    case Kind::kSymDep:
-      return SymDepCounts(*index_, sig_ids, params_[0], params_[1]);
-    case Kind::kDepDisj:
-      return DepDisjCounts(*index_, sig_ids, params_[0], params_[1]);
-  }
-  return {};
+  SortStats stats = MakeStats();
+  for (int sig : sig_ids) stats.Add(sig);
+  return CountsFromStats(stats);
 }
 
 SigmaCounts ClosedFormEvaluator::CountsFromMergedStats(

@@ -67,13 +67,6 @@ class Evaluator {
     return CountsFromStats(stats).Value();
   }
 
-  /// Counts through the stats subsystem: folds `sig_ids` into fresh stats and
-  /// extracts (closed form for the builtin families). Equals Counts(sig_ids)
-  /// exactly; refinement validation runs on this so it shares the same
-  /// aggregates the heuristics maintain instead of re-walking member
-  /// signatures through the scratch closed forms.
-  SigmaCounts CountsViaStats(const std::vector<int>& sig_ids) const;
-
   /// Counts of the union of two disjoint stats — the agglomerative
   /// candidate-merge probe. Must equal merging first and extracting after;
   /// this base implementation does exactly that, closed-form evaluators
@@ -132,6 +125,8 @@ class ClosedFormEvaluator : public Evaluator {
 
   const rules::Rule& rule() const override { return rule_; }
   const schema::SignatureIndex& index() const override { return *index_; }
+  /// Folds `sig_ids` into MakeStats() and extracts: the same aggregates the
+  /// heuristics maintain. The ids must be distinct and in range.
   SigmaCounts Counts(const std::vector<int>& sig_ids) const override;
 
   /// Dep families get their pair resolved to ids once at construction and
@@ -149,17 +144,16 @@ class ClosedFormEvaluator : public Evaluator {
   bool cheap_stats() const override { return true; }
 
  private:
+  /// `params` are the ignored properties, or {p1, p2}.
   ClosedFormEvaluator(Kind kind, rules::Rule rule,
                       const schema::SignatureIndex* index,
-                      std::vector<std::string> params);
+                      const std::vector<std::string>& params);
 
   Kind kind_;
   rules::Rule rule_;
   const schema::SignatureIndex* index_;
-  std::vector<std::string> params_;  // ignored props, or {p1, p2}
-  // Resolved-once parameter state for the stats path: the Dep pair's column
-  // ids and the CovIgnoring word mask (FindProperty runs at construction, not
-  // per evaluation).
+  // Parameters resolved once at construction: the Dep pair's column ids and
+  // the CovIgnoring word mask.
   int dep_id1_ = -1;
   int dep_id2_ = -1;
   schema::PropertySet ignored_mask_;

@@ -2,11 +2,10 @@
 //
 // The refinement heuristics (core/greedy.cc) mutate candidate sorts one
 // signature (greedy trial placements) or one whole part (agglomerative
-// merges) at a time, yet the scratch closed forms of closed_form.h re-walk
-// every member signature per evaluation — O(|sort| * |P|) per probe, O(n^3)
-// and worse over a full agglomerative run. SortStats is the incremental
-// alternative: it carries exactly the aggregates the closed forms of every
-// builtin family consume —
+// merges) at a time; re-walking every member signature per evaluation would
+// cost O(|sort| * |P|) per probe, O(n^3) and worse over a full agglomerative
+// run. SortStats carries exactly the aggregates the closed forms of every
+// builtin family (closed_form.h) consume —
 //
 //   subjects       N = Σ_mu n_mu
 //   support_sum    Σ_mu n_mu |supp(mu)|  ( = Σ_p cnt_p )
@@ -22,9 +21,9 @@
 // and keeps all of them exact under Add / Remove / MergeWith, so a candidate
 // sort's SigmaCounts never requires re-walking its member signatures.
 // All aggregates are integers, so the extracted counts — and therefore the
-// sigma doubles derived from them — are bit-identical to a scratch
-// SubsetStats::Compute over the same member set (property-tested in
-// tests/sort_stats_test.cc).
+// sigma doubles derived from them — do not depend on the order of mutations:
+// they equal the generic enumerator's counts over the same member set
+// (property-tested in tests/sort_stats_test.cc).
 //
 // Memory diet (the ~100k-signature agglomerative regime holds one SortStats
 // per part):

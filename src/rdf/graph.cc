@@ -12,9 +12,6 @@
 namespace rdfsr::rdf {
 
 namespace {
-std::uint64_t PackPair(TermId a, TermId b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
 constexpr std::uint32_t kEmptySlot = static_cast<std::uint32_t>(-1);
 }  // namespace
 
@@ -107,9 +104,10 @@ bool Graph::AddLiteral(const std::string& s, const std::string& p,
 // workers write only per-shard (or per-bucket, or per-id-range) state that no
 // other worker touches. Global orders come from per-shard prefix sums over
 // per-element flags, never from scheduling order, which is how the result
-// stays bit-identical to the serial merge. The two hash tables built by
-// atomic CAS (dictionary slots, triple dedup slots) insert keys that are
-// pairwise distinct by construction, so claims need no equality probes.
+// stays bit-identical to interning and adding shard by shard. The two hash
+// tables built by atomic CAS (dictionary slots, triple dedup slots) insert
+// keys that are pairwise distinct by construction, so claims need no
+// equality probes.
 Status Graph::MergeShards(std::vector<Graph>* shards_in, std::size_t count,
                           util::ThreadPool* pool,
                           const util::CancellationToken& cancel) {
@@ -388,14 +386,6 @@ void Graph::CheckInvariants() const {
       << "subjects() lists terms no triple mentions";
   RDFSR_CHECK_EQ(next_property, properties_.size())
       << "properties() lists terms no triple mentions";
-}
-
-bool Graph::HasProperty(TermId s, TermId p) const {
-  for (; sp_scanned_ < triples_.size(); ++sp_scanned_) {
-    subject_property_.insert(PackPair(triples_[sp_scanned_].subject,
-                                      triples_[sp_scanned_].predicate));
-  }
-  return subject_property_.count(PackPair(s, p)) > 0;
 }
 
 const std::vector<std::uint32_t>& Graph::TypePostings() const {

@@ -2,14 +2,12 @@
 //
 // Implements the schema-oriented representation of Section 2.1:
 //  * S(D), P(D) — subjects and properties mentioned in D,
-//  * "s has property p in D",
 //  * the sort slice D_t = { (s,p,o) in D | (s, type, t) in D }.
 
 #ifndef RDFSR_RDF_GRAPH_H_
 #define RDFSR_RDF_GRAPH_H_
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "rdf/dictionary.h"
@@ -110,12 +108,6 @@ class Graph {
   /// P(D): distinct properties in first-appearance order.
   const std::vector<TermId>& properties() const { return properties_; }
 
-  /// Whether s has property p in D (some (s, p, o) in D). Backed by a lazily
-  /// built (s, p) hash set — query paths use it, the ingestion hot path
-  /// never pays for it. Like TypePostings(), the first call mutates a
-  /// mutable cache: warm it before sharing const references across threads.
-  bool HasProperty(TermId s, TermId p) const;
-
   /// D_t: the subgraph of all triples whose subject is declared of sort t via
   /// (s, type, t). The slice shares this graph's dictionary. `include_type`
   /// controls whether the (s, type, t) triples themselves are copied (the
@@ -128,10 +120,10 @@ class Graph {
   /// Bulk-merges the first `count` parsed shards into this graph on `pool` —
   /// the parallel equivalent of interning each shard's terms into dict() in
   /// shard order and Add()ing each shard's triples in shard order. Requires
-  /// this graph (and its dictionary) to be empty; the sharded parser falls
-  /// back to the serial merge loop when appending to a non-empty graph.
+  /// this graph (and its dictionary) to be empty; the parser appends to a
+  /// non-empty graph sequentially instead.
   ///
-  /// The result is bit-identical to the serial merge: term ids and the
+  /// The result is bit-identical to that serial equivalent: term ids and the
   /// triple / subject / property orders are first-occurrence orders of the
   /// concatenated shard streams, derived by per-shard prefix sums rather
   /// than by any scheduling order (hash-table slot layouts are the only
@@ -188,10 +180,6 @@ class Graph {
   std::vector<TermId> properties_;
   std::vector<std::uint8_t> subject_seen_;   // TermId -> appeared as subject
   std::vector<std::uint8_t> property_seen_;  // TermId -> appeared as predicate
-  // Lazy (s,p) membership set backing HasProperty; extended on demand from
-  // triples_ [0, sp_scanned_).
-  mutable std::unordered_set<std::uint64_t> subject_property_;
-  mutable std::size_t sp_scanned_ = 0;
   // Lazy rdf:type posting list: positions of type triples among triples_
   // [0, type_scanned_). Extended, never rebuilt — sound because a triple can
   // only reference rdf:type if it was already interned at Add time.

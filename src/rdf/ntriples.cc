@@ -358,16 +358,14 @@ std::vector<std::pair<std::size_t, std::size_t>> SplitAtLines(
 /// interning each shard's terms in shard-local id order. Both orders coincide
 /// with first-occurrence order in the byte stream, so the merged graph is
 /// bit-identical (term ids, triple order) to a sequential parse. The merge
-/// itself runs on the pool (Graph::MergeShards) when `graph` starts empty;
-/// appends to a non-empty graph fall back to the serial id-remap loop.
+/// itself runs on the pool (Graph::MergeShards), which needs `graph` empty.
 Status ParseShardedInto(std::string_view text, Graph* graph, int threads,
                         util::ThreadPool* pool, const ParseOptions& options) {
   const auto chunks = SplitAtLines(text, threads);
 
   // Global line number of each chunk's first line: parallel per-chunk
   // newline counts (memchr speed, but serial it costs as much as a parse
-  // shard on large inputs), then a serial prefix. The total doubles as the
-  // pre-size estimate for the serial merge path.
+  // shard on large inputs), then a serial prefix.
   std::vector<std::size_t> chunk_lines(chunks.size());
   pool->ParallelFor(chunks.size(), [&](std::size_t cb, std::size_t ce) {
     for (std::size_t i = cb; i < ce; ++i) {
@@ -440,24 +438,9 @@ Status ParseShardedInto(std::string_view text, Graph* graph, int threads,
     }
   }
 
-  if (graph->empty() && graph->dict().size() == 0) {
-    Status merge_st =
-        graph->MergeShards(&shards, merge_count, pool, options.cancel);
-    if (!merge_st.ok()) return merge_st;
-    return result;
-  }
-  if (text.size() >= (1u << 20)) graph->Reserve(line, line);
-  std::vector<TermId> remap;
-  for (std::size_t s = 0; s < merge_count; ++s) {
-    const Dictionary& shard_dict = shards[s].dict();
-    remap.resize(shard_dict.size());
-    for (TermId id = 0; id < shard_dict.size(); ++id) {
-      remap[id] = graph->dict().Intern(shard_dict.term(id));
-    }
-    for (const Triple& t : shards[s].triples()) {
-      graph->Add(Triple{remap[t.subject], remap[t.predicate], remap[t.object]});
-    }
-  }
+  Status merge_st =
+      graph->MergeShards(&shards, merge_count, pool, options.cancel);
+  if (!merge_st.ok()) return merge_st;
   return result;
 }
 
@@ -488,7 +471,9 @@ Status ParseNTriplesInto(std::string_view text, Graph* graph,
                          const ParseOptions& options) {
   RDFSR_CHECK(graph != nullptr);
   const int threads = EffectiveParseThreads(options, text.size());
-  if (threads > 1) {
+  // Appending to a non-empty graph parses sequentially: the result is the
+  // same, and the shard merge needs an empty destination.
+  if (threads > 1 && graph->empty() && graph->dict().size() == 0) {
     // One pool drives the whole sharded path: chunk line counts, the shard
     // parses, and every merge phase. `threads - 1` workers plus the calling
     // thread gives exactly `threads` lanes.

@@ -133,10 +133,10 @@ class Lexer {
 /// Deepest formula the parser accepts. It bounds both the parser's own
 /// recursion (each '(' or '!' nests one level) and the height of the formula
 /// tree it builds (each '!', '&&' and '||' adds a level), so every recursive
-/// pass over a parsed rule (normalize, printer, semantics, and the tree's
-/// destructor) stays within a small fixed stack budget. Deeper input fails
-/// with the same ParseError as any other malformed rule. Real rules are a
-/// few levels deep; the Section 2.2 builtins are under ten.
+/// pass over a parsed rule (printer, semantics, and the tree's destructor)
+/// stays within a small fixed stack budget. Deeper input fails with the same
+/// ParseError as any other malformed rule. Real rules are a few levels deep;
+/// the Section 2.2 builtins are under ten.
 constexpr int kMaxNestingDepth = 256;
 
 /// Recursive-descent parser over the token stream.

@@ -108,7 +108,9 @@ TEST(AnalysisTest, QuickstartSigmaAndHighestTheta) {
 
   // Per-sort sigma through the façade agrees with the threshold.
   for (const auto& sort : best->sorts) {
-    EXPECT_NEAR(cov->Sigma(sort), 1.0, 1e-12);
+    const auto sigma = cov->Sigma(sort);
+    ASSERT_TRUE(sigma.ok()) << sigma.status().ToString();
+    EXPECT_NEAR(*sigma, 1.0, 1e-12);
   }
 
   EXPECT_NE(cov->Summary(*best).find("2 sorts"), std::string::npos);
@@ -218,6 +220,36 @@ TEST(ErrorPathTest, BadSearchParametersAreInvalid) {
   auto bad_theta = cov->LowestK(1.5);
   ASSERT_FALSE(bad_theta.ok());
   EXPECT_EQ(bad_theta.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ErrorPathTest, SortSigmaRejectsNegativeId) {
+  const Dataset people = LoadQuickstart();
+  auto cov = people.Analyze("cov");
+  ASSERT_TRUE(cov.ok());
+  const auto sigma = cov->Sigma({0, -1});
+  ASSERT_FALSE(sigma.ok());
+  EXPECT_EQ(sigma.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ErrorPathTest, SortSigmaRejectsOutOfRangeId) {
+  const Dataset people = LoadQuickstart();  // 2 signatures
+  auto cov = people.Analyze("cov");
+  ASSERT_TRUE(cov.ok());
+  const auto sigma = cov->Sigma({7});
+  ASSERT_FALSE(sigma.ok());
+  EXPECT_EQ(sigma.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(cov->Sigma({2}).ok());  // one past the last id
+}
+
+TEST(ErrorPathTest, SortSigmaRejectsRepeatedId) {
+  const Dataset people = LoadQuickstart();
+  for (const char* spec : {"cov", "c = c -> val(c) = 1"}) {
+    auto analysis = people.Analyze(spec);
+    ASSERT_TRUE(analysis.ok()) << spec;
+    const auto sigma = analysis->Sigma({1, 0, 1});
+    ASSERT_FALSE(sigma.ok()) << spec;
+    EXPECT_EQ(sigma.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
 }
 
 TEST(RuleSpecTest, ResolvesBuiltinFamilies) {

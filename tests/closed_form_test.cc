@@ -1,10 +1,13 @@
 // Property tests: closed-form structuredness (Cov/Sim/Dep/SymDep/DepDisj and
 // CovIgnoring) must agree exactly with the generic signature-level enumerator
-// on full indexes and on restricted subsets (implicit sorts).
+// on the same rule, on full indexes and on every subset (implicit sort).
 
 #include <gtest/gtest.h>
 
-#include "eval/closed_form.h"
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "eval/enumerator.h"
 #include "eval/evaluator.h"
 #include "gen/random_graph.h"
@@ -24,6 +27,21 @@ void ExpectSameCounts(const SigmaCounts& a, const SigmaCounts& b,
       << label << " favorables";
 }
 
+/// Every builtin family through its public factory. The oracle for each is
+/// a GenericEvaluator on the factory's own rule, which never touches
+/// SortStats or the closed forms.
+std::vector<std::unique_ptr<ClosedFormEvaluator>> AllFamilies(
+    const schema::SignatureIndex* index) {
+  std::vector<std::unique_ptr<ClosedFormEvaluator>> out;
+  out.push_back(ClosedFormEvaluator::Cov(index));
+  out.push_back(ClosedFormEvaluator::Sim(index));
+  out.push_back(ClosedFormEvaluator::Dep(index, "p0", "p1"));
+  out.push_back(ClosedFormEvaluator::SymDep(index, "p1", "p2"));
+  out.push_back(ClosedFormEvaluator::DepDisj(index, "p0", "p2"));
+  out.push_back(ClosedFormEvaluator::CovIgnoring(index, {"p0", "p3"}));
+  return out;
+}
+
 class ClosedFormPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   schema::SignatureIndex MakeIndex() const {
@@ -37,74 +55,32 @@ class ClosedFormPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
   }
 };
 
-TEST_P(ClosedFormPropertyTest, CovMatchesGeneric) {
+TEST_P(ClosedFormPropertyTest, FullIndexMatchesGeneric) {
   const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  ExpectSameCounts(CovCounts(index, all),
-                   EvaluateRuleOnIndex(rules::CovRule(), index), "Cov");
-}
-
-TEST_P(ClosedFormPropertyTest, SimMatchesGeneric) {
-  const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  ExpectSameCounts(SimCounts(index, all),
-                   EvaluateRuleOnIndex(rules::SimRule(), index), "Sim");
-}
-
-TEST_P(ClosedFormPropertyTest, DepMatchesGeneric) {
-  const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  ExpectSameCounts(
-      DepCounts(index, all, "p0", "p1"),
-      EvaluateRuleOnIndex(rules::DepRule("p0", "p1"), index), "Dep");
-}
-
-TEST_P(ClosedFormPropertyTest, SymDepMatchesGeneric) {
-  const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  ExpectSameCounts(
-      SymDepCounts(index, all, "p1", "p2"),
-      EvaluateRuleOnIndex(rules::SymDepRule("p1", "p2"), index), "SymDep");
-}
-
-TEST_P(ClosedFormPropertyTest, DepDisjMatchesGeneric) {
-  const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  ExpectSameCounts(
-      DepDisjCounts(index, all, "p0", "p2"),
-      EvaluateRuleOnIndex(rules::DepDisjunctiveRule("p0", "p2"), index),
-      "DepDisj");
-}
-
-TEST_P(ClosedFormPropertyTest, CovIgnoringMatchesGeneric) {
-  const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  const std::vector<std::string> ignored = {"p0", "p3"};
-  ExpectSameCounts(
-      CovIgnoringCounts(index, all, ignored),
-      EvaluateRuleOnIndex(rules::CovRuleIgnoring(ignored), index),
-      "CovIgnoring");
-}
-
-TEST_P(ClosedFormPropertyTest, SubsetsMatchGenericOnRestriction) {
-  const schema::SignatureIndex index = MakeIndex();
-  // Take every second signature as an implicit sort.
-  std::vector<int> subset;
-  for (std::size_t i = 0; i < index.num_signatures(); i += 2) {
-    subset.push_back(static_cast<int>(i));
+  for (const auto& closed : AllFamilies(&index)) {
+    ExpectSameCounts(closed->CountsAll(),
+                     EvaluateRuleOnIndex(closed->rule(), index),
+                     closed->rule().name());
   }
-  const schema::SignatureIndex sub = index.Restrict(subset);
+}
 
-  ExpectSameCounts(CovCounts(index, subset),
-                   EvaluateRuleOnIndex(rules::CovRule(), sub), "Cov/subset");
-  ExpectSameCounts(SimCounts(index, subset),
-                   EvaluateRuleOnIndex(rules::SimRule(), sub), "Sim/subset");
-  ExpectSameCounts(DepCounts(index, subset, "p0", "p1"),
-                   EvaluateRuleOnIndex(rules::DepRule("p0", "p1"), sub),
-                   "Dep/subset");
-  ExpectSameCounts(SymDepCounts(index, subset, "p2", "p3"),
-                   EvaluateRuleOnIndex(rules::SymDepRule("p2", "p3"), sub),
-                   "SymDep/subset");
+TEST_P(ClosedFormPropertyTest, EverySubsetMatchesGeneric) {
+  // Every non-empty implicit sort, in a scrambled id order: the closed form
+  // over the subset must equal the enumerator on the restricted index.
+  const schema::SignatureIndex index = MakeIndex();
+  const int n = static_cast<int>(index.num_signatures());
+  for (const auto& closed : AllFamilies(&index)) {
+    const GenericEvaluator generic(closed->rule(), &index);
+    for (int mask = 1; mask < (1 << n); ++mask) {
+      std::vector<int> subset;
+      for (int i = n - 1; i >= 0; --i) {
+        if (mask & (1 << i)) subset.push_back(i);
+      }
+      ExpectSameCounts(closed->Counts(subset), generic.Counts(subset),
+                       closed->rule().name() + " mask " +
+                           std::to_string(mask));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClosedFormPropertyTest,
@@ -115,11 +91,13 @@ TEST(ClosedFormTest, DepMissingColumnIsTriviallyOne) {
   const schema::SignatureIndex index =
       schema::SignatureIndex::FromSignatures({"a", "b"}, sigs);
   // Restricting to the {a}-only signature removes column b entirely.
-  const SigmaCounts counts = DepCounts(index, {0}, "a", "b");
+  const SigmaCounts counts = ClosedFormEvaluator::Dep(&index, "a", "b")
+                                 ->Counts({0});
   EXPECT_EQ(static_cast<long long>(counts.total), 0);
   EXPECT_DOUBLE_EQ(counts.Value(), 1.0);
   // Unknown property names behave the same way.
-  const SigmaCounts unknown = DepCounts(index, {0, 1}, "a", "zzz");
+  const SigmaCounts unknown =
+      ClosedFormEvaluator::Dep(&index, "a", "zzz")->CountsAll();
   EXPECT_EQ(static_cast<long long>(unknown.total), 0);
 }
 
@@ -133,8 +111,9 @@ TEST(ClosedFormTest, SymDepPaperExample) {
   };
   const schema::SignatureIndex index = schema::SignatureIndex::FromSignatures(
       {"deathPlace", "deathDate", "x"}, sigs);
-  const SigmaCounts counts = SymDepCounts(index, AllSignatures(index),
-                                          "deathPlace", "deathDate");
+  const SigmaCounts counts =
+      ClosedFormEvaluator::SymDep(&index, "deathPlace", "deathDate")
+          ->CountsAll();
   EXPECT_EQ(static_cast<long long>(counts.favorable), 40);
   EXPECT_EQ(static_cast<long long>(counts.total), 101);
   EXPECT_NEAR(counts.Value(), 0.396, 0.001);
@@ -146,29 +125,23 @@ TEST(ClosedFormTest, EvaluatorDispatchesClosedForms) {
   const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
   const std::vector<int> all = AllSignatures(index);
 
-  auto cov = MakeEvaluator(rules::CovRule(), &index);
-  ExpectSameCounts(cov->Counts(all), CovCounts(index, all), "factory Cov");
-  auto sim = MakeEvaluator(rules::SimRule(), &index);
-  ExpectSameCounts(sim->Counts(all), SimCounts(index, all), "factory Sim");
-  // The factory must route CovIgnoring to the closed form, not fall back to
-  // the enumerator, recovering the ignored properties from the rule AST.
-  auto cov_ign = MakeEvaluator(rules::CovRuleIgnoring({"p0", "p2"}), &index);
-  EXPECT_NE(dynamic_cast<const ClosedFormEvaluator*>(cov_ign.get()), nullptr);
-  ExpectSameCounts(cov_ign->Counts(all),
-                   CovIgnoringCounts(index, all, {"p0", "p2"}),
-                   "factory CovIgnoring");
-  // A property IRI containing a comma must survive the round trip (the
-  // display name's comma-joined list would mis-split it).
-  auto comma = MakeEvaluator(rules::CovRuleIgnoring({"p0,p1"}), &index);
-  ExpectSameCounts(comma->Counts(all),
-                   CovIgnoringCounts(index, all, {"p0,p1"}),
-                   "factory CovIgnoring comma-in-IRI");
-  auto dep = MakeEvaluator(rules::DepRule("p0", "p1"), &index);
-  ExpectSameCounts(dep->Counts(all), DepCounts(index, all, "p0", "p1"),
-                   "factory Dep");
-  auto symdep = MakeEvaluator(rules::SymDepRule("p0", "p1"), &index);
-  ExpectSameCounts(symdep->Counts(all), SymDepCounts(index, all, "p0", "p1"),
-                   "factory SymDep");
+  // The factory must route every builtin to its closed form, not fall back
+  // to the enumerator, and agree with the enumerator on the same rule.
+  // CovIgnoring recovers its ignored properties from the rule AST; a property
+  // IRI containing a comma must survive that round trip (the display name's
+  // comma-joined list would mis-split it).
+  for (const rules::Rule& rule :
+       {rules::CovRule(), rules::SimRule(), rules::CovRuleIgnoring({"p0", "p2"}),
+        rules::CovRuleIgnoring({"p0,p1"}), rules::DepRule("p0", "p1"),
+        rules::SymDepRule("p0", "p1"), rules::DepDisjunctiveRule("p1", "p0")}) {
+    auto evaluator = MakeEvaluator(rule, &index);
+    EXPECT_NE(dynamic_cast<const ClosedFormEvaluator*>(evaluator.get()),
+              nullptr)
+        << rule.name();
+    ExpectSameCounts(evaluator->Counts(all),
+                     GenericEvaluator(rule, &index).Counts(all),
+                     "factory " + rule.name());
+  }
 }
 
 TEST(ClosedFormTest, FactoryFallsBackToGenericForAdHocRules) {

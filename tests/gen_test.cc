@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/closed_form.h"
+#include "eval/evaluator.h"
 #include "gen/mixed.h"
 #include "gen/persons.h"
 #include "gen/random_graph.h"
@@ -15,8 +15,6 @@
 namespace rdfsr::gen {
 namespace {
 
-using eval::AllSignatures;
-
 TEST(PersonsTest, MatchesPaperHeadlineNumbers) {
   const schema::SignatureIndex index = GeneratePersons();
   EXPECT_EQ(index.num_properties(), 8u);
@@ -25,9 +23,8 @@ TEST(PersonsTest, MatchesPaperHeadlineNumbers) {
   EXPECT_GE(index.num_signatures(), 48u);
   EXPECT_LE(index.num_signatures(), 64u);
 
-  const std::vector<int> all = AllSignatures(index);
-  const double cov = eval::CovCounts(index, all).Value();
-  const double sim = eval::SimCounts(index, all).Value();
+  const double cov = eval::ClosedFormEvaluator::Cov(&index)->SigmaAll();
+  const double sim = eval::ClosedFormEvaluator::Sim(&index)->SigmaAll();
   EXPECT_NEAR(cov, 0.54, 0.02);  // paper: 0.54
   EXPECT_NEAR(sim, 0.77, 0.02);  // paper: 0.77
 }
@@ -56,17 +53,16 @@ TEST(PersonsTest, SymDepOfDeathPairMatchesPaper) {
   config.num_subjects = 50000;
   const schema::SignatureIndex index = GeneratePersons(config);
   const double symdep =
-      eval::SymDepCounts(index, AllSignatures(index), "deathPlace",
-                         "deathDate")
-          .Value();
+      eval::ClosedFormEvaluator::SymDep(&index, "deathPlace", "deathDate")
+          ->SigmaAll();
   EXPECT_NEAR(symdep, 0.39, 0.03);  // paper: 0.39
 }
 
 TEST(PersonsTest, GivenAndSurNameFullyCorrelated) {
   const schema::SignatureIndex index = GeneratePersons();
   const double symdep =
-      eval::SymDepCounts(index, AllSignatures(index), "givenName", "surName")
-          .Value();
+      eval::ClosedFormEvaluator::SymDep(&index, "givenName", "surName")
+          ->SigmaAll();
   EXPECT_DOUBLE_EQ(symdep, 1.0);  // paper Table 2 top entry
 }
 
@@ -100,9 +96,8 @@ TEST(PersonsTest, GraphMaterializationConsistent) {
 TEST(WordnetTest, MatchesPaperHeadlineNumbers) {
   const schema::SignatureIndex index = GenerateWordnet();
   EXPECT_EQ(index.num_properties(), 12u);
-  const std::vector<int> all = AllSignatures(index);
-  const double cov = eval::CovCounts(index, all).Value();
-  const double sim = eval::SimCounts(index, all).Value();
+  const double cov = eval::ClosedFormEvaluator::Cov(&index)->SigmaAll();
+  const double sim = eval::ClosedFormEvaluator::Sim(&index)->SigmaAll();
   EXPECT_NEAR(cov, 0.44, 0.02);  // paper: 0.44
   EXPECT_NEAR(sim, 0.93, 0.02);  // paper: 0.93
   // Paper: 53 signatures; rare-combination sampling gives the same order.

@@ -458,6 +458,42 @@ TEST(NTriplesTest, TolerantShardedParseFailsPastBudget) {
   EXPECT_EQ(st.code(), StatusCode::kParseError);
 }
 
+TEST(NTriplesTest, ShardedAppendToNonEmptyGraphMatchesSequentialAppend) {
+  // The destination already holds terms and triples that the appended text
+  // repeats, so interning and dedup both see the existing state.
+  const std::string prefix = ManyLines(60);
+  std::vector<std::size_t> bad_lines;
+  const std::string dirty = Dirty(ManyLines(300), 29, &bad_lines);
+  ASSERT_FALSE(bad_lines.empty());
+
+  const auto append = [&](const ParseOptions& base, Graph* g,
+                          std::vector<ParseDiagnostic>* diags) {
+    ASSERT_TRUE(ParseNTriplesInto(prefix, g).ok());
+    ParseOptions options = base;
+    options.max_errors = bad_lines.size();
+    options.diagnostics = diags;
+    const Status st = ParseNTriplesInto(dirty, g, options);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  };
+  Graph sequential;
+  std::vector<ParseDiagnostic> sequential_diags;
+  append(ParseOptions{}, &sequential, &sequential_diags);
+
+  util::ThreadPool pool(2);
+  const ParseOptions sharded_options = ShardedOptions(4, &pool);
+  ASSERT_EQ(EffectiveParseThreads(sharded_options, dirty.size()), 4);
+  Graph sharded;
+  std::vector<ParseDiagnostic> sharded_diags;
+  append(sharded_options, &sharded, &sharded_diags);
+
+  ExpectGraphsIdentical(sharded, sequential);
+  ASSERT_EQ(sharded_diags.size(), sequential_diags.size());
+  for (std::size_t i = 0; i < sharded_diags.size(); ++i) {
+    EXPECT_EQ(sharded_diags[i].line, sequential_diags[i].line);
+    EXPECT_EQ(sharded_diags[i].message, sequential_diags[i].message);
+  }
+}
+
 TEST(NTriplesTest, ReadFileDirectoryIsInvalidArgument) {
   auto text = ReadFileToString(::testing::TempDir());
   ASSERT_FALSE(text.ok());
