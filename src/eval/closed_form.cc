@@ -1,7 +1,5 @@
 #include "eval/closed_form.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace rdfsr::eval {

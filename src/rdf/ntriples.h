@@ -48,7 +48,7 @@ struct ParseOptions {
   /// pool's lanes, and no hardware cap applies. Sharded parsing produces the
   /// same graph (same term ids, same triple order) as sequential, so this is
   /// a pure throughput knob. The count actually used is
-  /// EffectiveParseThreads().
+  /// EffectiveParseThreads(), or 1 when appending to a non-empty graph.
   int threads = 1;
   /// Inputs shorter than threads * min_chunk_bytes parse on fewer threads
   /// (each chunk keeps at least this many bytes) — thread startup would
